@@ -21,14 +21,14 @@ from .energies import (
     generate_synthetic,
     rectified_margin,
 )
-from .spins import FlipMove, ReplicaEnsemble, SpinVector, hamming_distance, inner_product
+from .spins import ReplicaEnsemble
 
 __all__ = [
     "AnnealSchedule", "Chain", "RunStats", "accept_combined", "accept_two_stage",
     "interaction_delta", "log_cosh_stable", "make_rng", "run", "spawn_seed",
     "ClassifierDataset", "CrossEntropyEnergy", "PatternSet", "PerceptronEnergy",
     "TabulatedEnergy", "generate_synthetic", "rectified_margin",
-    "FlipMove", "ReplicaEnsemble", "SpinVector", "hamming_distance", "inner_product",
+    "ReplicaEnsemble",
 ]
 
 __version__ = "0.1.0"

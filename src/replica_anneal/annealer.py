@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spins import FlipMove, ReplicaEnsemble
+from .spins import ReplicaEnsemble
 
 LOG2 = math.log(2.0)
 
@@ -19,11 +19,10 @@ def log_cosh_stable(x: float) -> float:
     return ax - LOG2 + math.log1p(math.exp(-2.0 * ax))
 
 
-def interaction_delta(ensemble: ReplicaEnsemble, gamma: float, move: FlipMove) -> float:
-    """Change of sum_i log cosh(gamma * fields[i]) under a single flip. O(1)."""
-    a, i = move.replica_index, move.coordinate_index
-    f = ensemble.replica_field(i)
-    s = int(ensemble.replicas[a].values[i])
+def interaction_delta(ensemble: ReplicaEnsemble, gamma: float, a: int, i: int) -> float:
+    """Change of sum_i log cosh(gamma * fields[i]) when spin i of replica a flips. O(1)."""
+    f = int(ensemble.fields[i])
+    s = int(ensemble.states[a].w[i])
     f_new = f - 2 * s
     if gamma == 0.0:
         return 0.0
@@ -158,8 +157,8 @@ class Chain:
         self.schedule = schedule
         self.kernel = kernel
         self.rng = rng if rng is not None else make_rng(seed)
-        self.ensemble = ReplicaEnsemble.random(model.n_spins, y, self.rng)
-        self.states = [model.make_state(r.values) for r in self.ensemble.replicas]
+        self.ensemble = ReplicaEnsemble.random(model, y, self.rng)
+        self.states = self.ensemble.states
         self.iteration = 0
         self.stats = RunStats()
 
@@ -167,33 +166,30 @@ class Chain:
     def total_energy(self) -> float:
         return sum(s.energy for s in self.states)
 
-    def propose(self) -> FlipMove:
+    def propose(self) -> tuple[int, int]:
+        """(replica, coordinate) of the proposed flip, drawn in that order."""
         a = int(self.rng.integers(self.ensemble.y))
         i = int(self.rng.integers(self.ensemble.n))
-        return FlipMove(a, i)
+        return a, i
 
     def step(self) -> bool:
         """One propose/accept cycle; returns True when the flip was accepted."""
         beta = self.schedule.beta_at(self.iteration)
         gamma = self.schedule.gamma_at(self.iteration)
-        move = self.propose()
+        a, i = self.propose()
         u = self.rng.random()
-        a, i = move.replica_index, move.coordinate_index
         delta_e = self.states[a].flip_delta(i)
-        delta_h = interaction_delta(self.ensemble, gamma, move)
+        delta_h = interaction_delta(self.ensemble, gamma, a, i)
         if self.kernel == "combined":
             p = accept_combined(delta_e, delta_h, beta)
         else:
             p = accept_two_stage(delta_e, delta_h, beta)
         accepted = u < p
         if accepted:
-            self.states[a].apply_flip(i)
-            self.ensemble.apply_flip(move)
+            self.ensemble.apply_flip(a, i)
             self.stats.active_transitions += 1
         self.iteration += 1
         self.stats.iterations = self.iteration
-        self.last_move = move
-        self.last_accepted = accepted
         return accepted
 
     def run(self, record_every: int = 0, observer=None) -> RunStats:

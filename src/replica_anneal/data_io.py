@@ -237,6 +237,11 @@ def write_results(records, path, fmt: str = "csv") -> None:
     path = Path(path)
     if fmt == "csv":
         new_file = not path.exists() or path.stat().st_size == 0
+        if not new_file:
+            with open(path, newline="") as fh:
+                header = next(csv.reader(fh), [])
+            if header != RESULT_COLUMNS:
+                raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
         with open(path, "a", newline="") as fh:
             writer = csv.writer(fh)
             if new_file:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spins import SpinVector, as_spins
+from .spins import as_spins
 
 
 class DimensionError(ValueError):
@@ -106,18 +106,18 @@ class PerceptronState:
         self._margins = model.margins(self.w)
         self.energy = float(np.sum(rectified_margin(-self._margins, model.odd_mode)))
 
+    # The energy is a sum of integers, so every float here is exact and the
+    # cached energy can stand in for the sum over the old margins.
     def flip_delta(self, i: int) -> float:
         new_m = self._margins - 2 * self.w[i] * self.model._signed[:, i]
-        odd = self.model.odd_mode
-        return float(
-            np.sum(rectified_margin(-new_m, odd)) - np.sum(rectified_margin(-self._margins, odd))
-        )
+        return float(np.sum(rectified_margin(-new_m, self.model.odd_mode))) - self.energy
 
     def apply_flip(self, i: int) -> float:
-        delta = self.flip_delta(i)
         self._margins -= 2 * self.w[i] * self.model._signed[:, i]
         self.w[i] = -self.w[i]
-        self.energy += delta
+        energy = float(np.sum(rectified_margin(-self._margins, self.model.odd_mode)))
+        delta = energy - self.energy
+        self.energy = energy
         return delta
 
 
@@ -260,9 +260,9 @@ class TabulatedEnergy:
         return int(bits @ (1 << np.arange(w.size, dtype=np.int64)))
 
     @staticmethod
-    def config_of(idx: int, n: int) -> SpinVector:
+    def config_of(idx: int, n: int) -> np.ndarray:
         bits = (idx >> np.arange(n)) & 1
-        return SpinVector(bits.astype(np.int8) * 2 - 1)
+        return bits.astype(np.int8) * 2 - 1
 
     def energy(self, w) -> float:
         return float(self.table[self.index_of(w)])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -21,105 +19,48 @@ def as_spins(values) -> np.ndarray:
     return arr
 
 
-class SpinVector:
-    """A point of {-1,+1}^N, stored as +-1 int8."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = as_spins(values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def copy(self) -> "SpinVector":
-        out = SpinVector.__new__(SpinVector)
-        out.values = self.values.copy()
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, SpinVector) and np.array_equal(self.values, other.values)
-
-    def __repr__(self):
-        return f"SpinVector({self.values.tolist()})"
-
-
-def inner_product(x: SpinVector, z: SpinVector) -> int:
-    if x.n != z.n:
-        raise SpinError(f"length mismatch: {x.n} vs {z.n}")
-    return int(np.dot(x.values.astype(np.int64), z.values.astype(np.int64)))
-
-
-def hamming_distance(x: SpinVector, z: SpinVector) -> int:
-    # d_H = (N - <x, z>) / 2, always an integer for +-1 vectors
-    return (x.n - inner_product(x, z)) // 2
-
-
-@dataclass(frozen=True)
-class FlipMove:
-    """Single-spin flip: replica a, coordinate i."""
-
-    replica_index: int
-    coordinate_index: int
-
-
 class ReplicaEnsemble:
-    """y coupled spin vectors plus the per-coordinate replica field sums.
+    """y coupled replicas, each an energy state owning its spins `w`, plus
+    the per-coordinate replica field sums.
 
     fields[i] = sum_a sigma_i^a is kept up to date under flips so the
     log-cosh interaction delta is O(1).
     """
 
-    __slots__ = ("replicas", "fields", "n", "y")
+    __slots__ = ("states", "fields", "n", "y")
 
-    def __init__(self, replicas):
-        replicas = [r if isinstance(r, SpinVector) else SpinVector(r) for r in replicas]
-        if not replicas:
+    def __init__(self, states):
+        states = list(states)
+        if not states:
             raise SpinError("ensemble needs at least one replica")
-        n = replicas[0].n
-        if any(r.n != n for r in replicas):
+        n = states[0].w.size
+        if any(s.w.size != n for s in states):
             raise SpinError("replicas must all have the same length")
-        self.replicas = replicas
+        self.states = states
         self.n = n
-        self.y = len(replicas)
+        self.y = len(states)
         self.fields = self.recompute_fields()
 
     def recompute_fields(self) -> np.ndarray:
         total = np.zeros(self.n, dtype=np.int32)
-        for r in self.replicas:
-            total += r.values
+        for s in self.states:
+            total += s.w
         return total
-
-    def replica_field(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"coordinate {i} out of range for N={self.n}")
-        return int(self.fields[i])
 
     def check_fields(self) -> bool:
         return bool(np.array_equal(self.fields, self.recompute_fields()))
 
-    def apply_flip(self, move: FlipMove) -> "ReplicaEnsemble":
-        a, i = move.replica_index, move.coordinate_index
+    def apply_flip(self, a: int, i: int) -> float:
+        """Flip spin i of replica a; returns the replica's energy change."""
         if not 0 <= a < self.y:
             raise IndexError(f"replica {a} out of range for y={self.y}")
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range for N={self.n}")
-        vals = self.replicas[a].values
-        old = int(vals[i])
-        vals[i] = -old
-        self.fields[i] -= 2 * old
-        return self
-
-    def copy(self) -> "ReplicaEnsemble":
-        out = ReplicaEnsemble.__new__(ReplicaEnsemble)
-        out.replicas = [r.copy() for r in self.replicas]
-        out.n = self.n
-        out.y = self.y
-        out.fields = self.fields.copy()
-        return out
+        state = self.states[a]
+        self.fields[i] -= 2 * int(state.w[i])
+        return state.apply_flip(i)
 
     @classmethod
-    def random(cls, n: int, y: int, rng: np.random.Generator) -> "ReplicaEnsemble":
-        spins = rng.integers(0, 2, size=(y, n)).astype(np.int8) * 2 - 1
-        return cls([SpinVector(row) for row in spins])
+    def random(cls, model, y: int, rng: np.random.Generator) -> "ReplicaEnsemble":
+        spins = rng.integers(0, 2, size=(y, model.n_spins)).astype(np.int8) * 2 - 1
+        return cls([model.make_state(row) for row in spins])

@@ -17,6 +17,7 @@ from replica_anneal.annealer import AnnealSchedule, Chain, make_rng
 from replica_anneal.data_io import DATA_DIR_ENV, ExperimentConfig
 from replica_anneal.energies import PerceptronEnergy, generate_synthetic
 from replica_anneal.experiments import robustness_eval, sweep_beta, train_run
+from replica_anneal.verify import monte_carlo_tv
 
 from reference_sa import classical_sa
 
@@ -86,25 +87,9 @@ def test_criterion_02_detailed_balance_and_stationarity():
 def test_criterion_03_monte_carlo_to_oracle():
     """Sampler law vs exact law: TV <= 0.05 after 1e6 steps at beta=gamma=1."""
     start = time.perf_counter()
-    model = fixtures.random_integer_energies(3, make_rng(123))
-    n, y, beta, gamma = 3, 2, 1.0, 1.0
     steps = 1_000_000
-    _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
-    schedule = AnnealSchedule.exponential(beta, beta, steps, gamma=gamma)
-    chain = Chain(model, y, schedule, kernel="combined", rng=make_rng(7))
-    counts = np.zeros(2 ** (n * y))
-    idx = 0
-    for a, rep in enumerate(chain.ensemble.replicas):
-        bits = (rep.values > 0).astype(np.int64)
-        idx |= int(bits @ (1 << np.arange(n, dtype=np.int64))) << (a * n)
     burn = steps // 2
-    for it in range(steps):
-        if chain.step():
-            mv = chain.last_move
-            idx ^= 1 << (mv.replica_index * n + mv.coordinate_index)
-        if it >= burn:
-            counts[idx] += 1
-    tv = 0.5 * float(np.abs(counts / counts.sum() - qbar).sum())
+    tv = monte_carlo_tv(steps, seed=7)
     elapsed = time.perf_counter() - start
     ok = tv <= 0.05 and elapsed < 60.0
     _verdict(3, ok, f"Monte Carlo TV {tv:.4f} (<=0.05) over last {steps - burn} "

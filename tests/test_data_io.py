@@ -188,6 +188,15 @@ def test_results_append_safe(tmp_path):
     assert sum(1 for ln in lines if ln.startswith("run_id")) == 1
 
 
+def test_results_append_refuses_a_different_header(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("run_id,seed,loss\nold,1,2.0\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"run_id.*seed.*loss.*expected.*config_hash"):
+        write_results([_record("b")], path)
+    assert path.read_bytes() == before
+
+
 def test_results_empty_list_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_results([], path)

@@ -145,8 +145,8 @@ def test_tabulated_energy_index_round_trip():
     model = TabulatedEnergy([0.0, 1.0, 2.0, 3.0], n=2)
     for idx in range(4):
         cfg = TabulatedEnergy.config_of(idx, 2)
-        assert TabulatedEnergy.index_of(cfg.values) == idx
-        assert model.energy(cfg.values) == float(idx)
+        assert TabulatedEnergy.index_of(cfg) == idx
+        assert model.energy(cfg) == float(idx)
 
 
 def test_tabulated_state_tracks_flips(rng):
@@ -166,6 +166,6 @@ def test_tabulated_flip_is_xor_on_indices(idx, i):
     n = 6
     table = np.arange(2**n, dtype=float)
     model = TabulatedEnergy(table, n=n)
-    state = model.make_state(TabulatedEnergy.config_of(idx, n).values)
+    state = model.make_state(TabulatedEnergy.config_of(idx, n))
     state.apply_flip(i)
     assert TabulatedEnergy.index_of(state.w) == idx ^ (1 << i)

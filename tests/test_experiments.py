@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,14 @@ def test_sweep_gamma_distinct_seeds_per_repetition():
     losses = [r.active_transitions for r in points[0].records]
     # independent streams: not all repetitions identical
     assert len(set(losses)) > 1
+
+
+def test_sweep_gamma_jobs_match_serial():
+    cfg = _small_config()
+    serial = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=1)
+    pooled = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=2)
+
+    def without_timestamp(points):
+        return [[dataclasses.replace(r, timestamp="") for r in p.records] for p in points]
+
+    assert without_timestamp(pooled) == without_timestamp(serial)

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from replica_anneal.spins import (
-    FlipMove,
-    ReplicaEnsemble,
-    SpinError,
-    SpinVector,
-    as_spins,
-    hamming_distance,
-    inner_product,
-)
+from replica_anneal.energies import TabulatedEnergy
+from replica_anneal.spins import ReplicaEnsemble, SpinError, as_spins
 
 
-spin_arrays = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=24)
+def _flat(n):
+    return TabulatedEnergy(np.zeros(2**n), n=n)
+
+
+def _ensemble(rows):
+    model = _flat(len(rows[0]))
+    return ReplicaEnsemble([model.make_state(r) for r in rows])
 
 
 def test_as_spins_rejects_non_pm1():
@@ -25,72 +23,47 @@ def test_as_spins_rejects_non_pm1():
         as_spins([])
 
 
-def test_spin_vector_copy_is_independent():
-    v = SpinVector([1, -1, 1])
-    w = v.copy()
-    w.values[0] = -1
-    assert v.values[0] == 1
-    assert v != w
-
-
-@given(spin_arrays)
-def test_hamming_distance_to_self_is_zero(vals):
-    v = SpinVector(vals)
-    assert hamming_distance(v, v) == 0
-    assert inner_product(v, v) == v.n
-
-
-@given(spin_arrays)
-def test_hamming_matches_direct_count(vals):
-    v = SpinVector(vals)
-    w = SpinVector([-x for x in vals])
-    assert hamming_distance(v, w) == v.n
-    # distance equals the number of disagreeing coordinates
-    z = SpinVector(np.where(np.arange(v.n) % 2 == 0, v.values, -v.values))
-    assert hamming_distance(v, z) == int(np.sum(v.values != z.values))
-
-
 def test_ensemble_fields_track_flips(rng):
-    ens = ReplicaEnsemble.random(6, 3, rng)
+    ens = ReplicaEnsemble.random(_flat(6), 3, rng)
     assert ens.check_fields()
     for _ in range(50):
         a = int(rng.integers(3))
         i = int(rng.integers(6))
-        ens.apply_flip(FlipMove(a, i))
+        ens.apply_flip(a, i)
     assert ens.check_fields()
 
 
 def test_ensemble_flip_is_involution(rng):
-    ens = ReplicaEnsemble.random(4, 2, rng)
-    before = [r.values.copy() for r in ens.replicas]
-    ens.apply_flip(FlipMove(1, 2))
-    ens.apply_flip(FlipMove(1, 2))
-    for old, rep in zip(before, ens.replicas):
-        assert np.array_equal(old, rep.values)
+    ens = ReplicaEnsemble.random(_flat(4), 2, rng)
+    before = [s.w.copy() for s in ens.states]
+    ens.apply_flip(1, 2)
+    assert ens.states[1].w[2] == -before[1][2]
+    ens.apply_flip(1, 2)
+    for old, state in zip(before, ens.states):
+        assert np.array_equal(old, state.w)
     assert ens.check_fields()
 
 
-def test_ensemble_copy_detached(rng):
-    ens = ReplicaEnsemble.random(5, 2, rng)
-    dup = ens.copy()
-    dup.apply_flip(FlipMove(0, 0))
-    assert ens.check_fields()
-    assert not np.array_equal(dup.replicas[0].values, ens.replicas[0].values)
+def test_ensemble_flip_updates_the_state_energy():
+    model = TabulatedEnergy([0.0, 1.0, 2.0, 3.0], n=2)
+    ens = ReplicaEnsemble([model.make_state([-1, -1]), model.make_state([1, -1])])
+    assert ens.apply_flip(0, 1) == 2.0
+    assert ens.states[0].energy == model.energy(ens.states[0].w) == 2.0
+    assert ens.states[1].energy == 1.0
 
 
 def test_ensemble_validates_shapes():
     with pytest.raises(SpinError):
         ReplicaEnsemble([])
     with pytest.raises(SpinError):
-        ReplicaEnsemble([[1, -1], [1, -1, 1]])
-    ens = ReplicaEnsemble([[1, -1], [-1, -1]])
+        ReplicaEnsemble([_flat(2).make_state([1, -1]), _flat(3).make_state([1, -1, 1])])
+    ens = _ensemble([[1, -1], [-1, -1]])
     with pytest.raises(IndexError):
-        ens.apply_flip(FlipMove(2, 0))
+        ens.apply_flip(2, 0)
     with pytest.raises(IndexError):
-        ens.apply_flip(FlipMove(0, 5))
+        ens.apply_flip(0, 5)
 
 
 def test_field_values_are_replica_sums():
-    ens = ReplicaEnsemble([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+    ens = _ensemble([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
     assert ens.fields.tolist() == [1, 1, 1]
-    assert ens.replica_field(0) == 1
