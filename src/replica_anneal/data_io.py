@@ -209,7 +209,7 @@ RESULT_COLUMNS = [
 class ResultRecord:
     run_id: str
     config_hash: str
-    seed: int
+    seed: int | list[int]  # a scalar seed, or SeedSequence entropy [base, point, rep]
     gamma: float
     beta_i: float
     beta_f: float
@@ -228,6 +228,8 @@ class ResultRecord:
 def _fmt(value):
     if value is None:
         return ""
+    if isinstance(value, list):  # seed entropy, written base/point/rep
+        return "/".join(str(v) for v in value)
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -258,6 +260,10 @@ def write_results(records, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _parse_seed(text: str):
+    return [int(v) for v in text.split("/")] if "/" in text else int(text)
+
+
 def read_results(path, fmt: str = "csv"):
     path = Path(path)
     records = []
@@ -266,7 +272,7 @@ def read_results(path, fmt: str = "csv"):
             for row in csv.DictReader(fh):
                 records.append(ResultRecord(
                     run_id=row["run_id"], config_hash=row["config_hash"],
-                    seed=int(row["seed"]), gamma=float(row["gamma"]),
+                    seed=_parse_seed(row["seed"]), gamma=float(row["gamma"]),
                     beta_i=float(row["beta_i"]), beta_f=float(row["beta_f"]),
                     replicas=int(row["replicas"]),
                     train_loss=float(row["train_loss"]),

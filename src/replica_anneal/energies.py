@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,9 +152,12 @@ class ClassifierDataset:
         return self.inputs.shape[1]
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1)
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(a - m).sum(axis=axis))
+
+
+_LOG_2 = math.log(2.0)
 
 
 class CrossEntropyEnergy:
@@ -168,6 +173,20 @@ class CrossEntropyEnergy:
         self.dataset = dataset
         self.n_spins = dataset.num_classes * dataset.d
 
+    @functools.cached_property
+    def class_sums(self) -> np.ndarray:
+        """(K, d): class_sums[k, j] = sum of feature j over the samples of class k."""
+        ds = self.dataset
+        onehot = np.zeros((ds.num_classes, ds.n))
+        onehot[ds.targets, np.arange(ds.n)] = 1.0
+        return onehot @ ds.inputs
+
+    @functools.cached_property
+    def zero_features(self) -> np.ndarray:
+        """(d,) bool: features that are zero in every sample. Features are
+        >= 0, so these are exactly the zero column sums."""
+        return self.class_sums.sum(axis=0) == 0.0
+
     def _weight_matrix(self, w) -> np.ndarray:
         w = as_spins(w)
         if w.size != self.n_spins:
@@ -179,7 +198,7 @@ class CrossEntropyEnergy:
 
     def energy(self, w) -> float:
         logits = self.logits(w)
-        lse = _logsumexp_rows(logits)
+        lse = _logsumexp(logits, axis=1)
         true_logit = logits[np.arange(self.dataset.n), self.dataset.targets]
         return float(np.sum(lse - true_logit))
 
@@ -194,45 +213,74 @@ class CrossEntropyEnergy:
 
 
 class CrossEntropyState:
-    """Logit cache: flipping weight (k, j) shifts logit column k by -2 W_kj x_:,j."""
+    """Per-replica cache of the logits and per-sample log-sum-exps.
+
+    `_logits` is class-major, a C-contiguous (K, n) array, and `_lse` is (n,).
+    Flipping weight (k, j) adds -2 W_kj x[:, j] to the contiguous row
+    `_logits[k]`; the true-class part of the delta is -2 W_kj class_sums[k, j],
+    and a flip on a feature that is zero in every sample changes nothing.
+
+    `_lse` is updated additively. In terms of the exp-mass Z = exp(lse), a
+    flip takes class k's old mass out of Z and puts its new mass in, so an
+    absolute error made in Z while Z was large stays when Z falls, and the
+    error in lse grows by the ratio of the two. `_lse_top` holds each
+    sample's largest `_lse` since it was last computed exactly; a sample is
+    recomputed from its K logits once it falls log 2 below that.
+    """
 
     def __init__(self, model: CrossEntropyEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
+        n = model.dataset.n
+        # scratch rows of the last flip_delta, reused by apply_flip via _memo
+        self._dcol, self._shift, self._tmp = np.empty(n), np.empty(n), np.empty(n)
+        self._memo = None
         self._n_applied = 0
         self._refresh()
 
     def _refresh(self):
         ds = self.model.dataset
-        self._logits = self.model.logits(self.w)
-        self._lse = _logsumexp_rows(self._logits)
-        self._rows = np.arange(ds.n)
-        self.energy = float(np.sum(self._lse - self._logits[self._rows, ds.targets]))
-
-    def _delta_parts(self, i: int):
-        ds = self.model.dataset
-        k, j = divmod(i, ds.d)
-        dcol = -2.0 * float(self.w[i]) * ds.inputs[:, j]
-        col = self._logits[:, k]
-        # lse' = lse + log1p(exp(col + d - lse) - exp(col - lse)); argument > -1
-        shift = np.log1p(np.exp(col + dcol - self._lse) - np.exp(col - self._lse))
-        delta = float(np.sum(shift) - np.sum(dcol[ds.targets == k]))
-        return k, dcol, shift, delta
+        self._logits = self.model.logits(self.w).T.copy()
+        self._lse = _logsumexp(self._logits, axis=0)
+        self._lse_top = self._lse.copy()
+        self.energy = float(np.sum(self._lse - self._logits[ds.targets, np.arange(ds.n)]))
+        self._memo = None
 
     def flip_delta(self, i: int) -> float:
-        parts = self._delta_parts(i)
-        self._memo = (i, parts)
-        return parts[3]
+        model = self.model
+        k, j = divmod(i, model.dataset.d)
+        if model.zero_features[j]:
+            delta = 0.0
+        else:
+            sign = -2.0 * float(self.w[i])
+            dcol, shift, tmp = self._dcol, self._shift, self._tmp
+            np.multiply(model.dataset.inputs[:, j], sign, out=dcol)
+            # lse' - lse = log1p(exp(z + d - lse) - exp(z - lse)); argument > -1
+            np.subtract(self._logits[k], self._lse, out=tmp)
+            np.add(tmp, dcol, out=shift)
+            np.exp(shift, out=shift)
+            np.exp(tmp, out=tmp)
+            shift -= tmp
+            np.log1p(shift, out=shift)
+            delta = float(shift.sum()) - sign * float(model.class_sums[k, j])
+        self._memo = (i, delta)
+        return delta
 
     def apply_flip(self, i: int) -> float:
-        memo = getattr(self, "_memo", None)
-        if memo is not None and memo[0] == i:
-            k, dcol, shift, delta = memo[1]
-        else:
-            k, dcol, shift, delta = self._delta_parts(i)
+        if self._memo is None or self._memo[0] != i:
+            self.flip_delta(i)
+        delta = self._memo[1]
         self._memo = None
-        self._logits[:, k] += dcol
-        self._lse += shift
+        k, j = divmod(i, self.model.dataset.d)
+        if not self.model.zero_features[j]:
+            self._logits[k] += self._dcol
+            self._lse += self._shift
+            np.maximum(self._lse_top, self._lse, out=self._lse_top)
+            np.subtract(self._lse_top, _LOG_2, out=self._tmp)
+            low = np.flatnonzero(self._lse < self._tmp)
+            if low.size:
+                self._lse[low] = _logsumexp(self._logits.take(low, axis=1), axis=0)
+                self._lse_top[low] = self._lse[low]
         self.w[i] = -self.w[i]
         self.energy += delta
         self._n_applied += 1

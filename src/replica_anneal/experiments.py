@@ -104,7 +104,7 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
     sched = config.schedule
     record = ResultRecord(
         run_id=run_id, config_hash=config.hash(),
-        seed=int(seed) if np.isscalar(seed) else -1,
+        seed=int(seed) if np.isscalar(seed) else [int(v) for v in seed],
         gamma=float(sched.get("gamma", 0.0)),
         beta_i=float(sched.get("beta_i", 0.0)), beta_f=float(sched.get("beta_f", 0.0)),
         replicas=config.replicas,

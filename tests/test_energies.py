@@ -85,6 +85,16 @@ def _toy_classifier(seed=0, n=12, d=5, k=3):
                              num_classes=k)
 
 
+def _sparse_toy_classifier(seed=0, n=15, d=6, k=3, zero_cols=(0, 4)):
+    """Like _toy_classifier, with features that are zero in every sample,
+    other zeros scattered, and every class present."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    inputs = gen.random((n, d)) * (gen.random((n, d)) < 0.6)
+    inputs[:, list(zero_cols)] = 0.0
+    return ClassifierDataset(inputs=inputs, targets=gen.permutation(np.arange(n) % k),
+                             num_classes=k)
+
+
 def test_cross_entropy_matches_direct_formula():
     ds = ClassifierDataset(inputs=np.array([[1.0, 0.0]]), targets=np.array([0]),
                            num_classes=2)
@@ -98,19 +108,19 @@ def test_cross_entropy_matches_direct_formula():
 
 
 def test_cross_entropy_state_delta_matches_recompute(rng):
-    ds = _toy_classifier(seed=5)
-    model = CrossEntropyEnergy(ds)
-    w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
-    state = model.make_state(w)
-    for _ in range(80):
-        i = int(rng.integers(model.n_spins))
-        predicted = state.flip_delta(i)
-        w2 = state.w.copy()
-        w2[i] = -w2[i]
-        expected = model.energy(w2) - model.energy(state.w)
-        assert predicted == pytest.approx(expected, abs=1e-10)
-        state.apply_flip(i)
-    assert state.energy == pytest.approx(model.energy(state.w), abs=1e-9)
+    for ds in (_toy_classifier(seed=5), _sparse_toy_classifier(seed=5)):
+        model = CrossEntropyEnergy(ds)
+        w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
+        state = model.make_state(w)
+        for _ in range(80):
+            i = int(rng.integers(model.n_spins))
+            predicted = state.flip_delta(i)
+            w2 = state.w.copy()
+            w2[i] = -w2[i]
+            expected = model.energy(w2) - model.energy(state.w)
+            assert predicted == pytest.approx(expected, abs=1e-10)
+            state.apply_flip(i)
+        assert state.energy == pytest.approx(model.energy(state.w), abs=1e-9)
 
 
 def test_cross_entropy_cache_drift_bounded(rng):
@@ -122,6 +132,65 @@ def test_cross_entropy_cache_drift_bounded(rng):
         i = int(rng.integers(model.n_spins))
         state.apply_flip(i)
     assert abs(state.energy - model.energy(state.w)) <= 1e-9
+
+
+def test_cross_entropy_class_sums_are_per_class_feature_sums():
+    ds = _sparse_toy_classifier(seed=8)
+    model = CrossEntropyEnergy(ds)
+    direct = np.array([ds.inputs[ds.targets == k].sum(axis=0) for k in range(3)])
+    assert model.class_sums.shape == (3, ds.d)
+    assert np.allclose(model.class_sums, direct, rtol=1e-14, atol=0.0)
+    assert list(np.flatnonzero(model.zero_features)) == [0, 4]
+
+
+def test_cross_entropy_zero_feature_flip_is_free(rng):
+    ds = _sparse_toy_classifier(seed=9)
+    model = CrossEntropyEnergy(ds)
+    w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
+    state = model.make_state(w)
+    for i in (0, 4, ds.d + 4, 2 * ds.d):  # (k, j) with j in the zero columns
+        logits, lse, energy = state._logits.tobytes(), state._lse.tobytes(), state.energy
+        assert state.flip_delta(i) == 0.0
+        assert state.apply_flip(i) == 0.0
+        assert state.w[i] == -w[i] and state.energy == energy
+        assert state._logits.tobytes() == logits and state._lse.tobytes() == lse
+
+
+def _fresh_lse(model, w):
+    logits = model.logits(w)
+    top = logits.max(axis=1)
+    return top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("eighths, d", [((4, 8), 24), ((1, 2), 160)],
+                         ids=["steep-fall", "gradual-fall"])
+def test_cross_entropy_cache_exact_after_a_dominant_class_falls(eighths, d):
+    # Features are multiples of 1/8, so every logit stays exact; all of the
+    # cache error is in the log-sum-exps. Class 0 starts all +1 and the other
+    # classes all -1, so class 0 holds nearly all of each sample's exp-mass
+    # (the rest is below rounding); flipping its weights down removes that
+    # mass one flip at a time, and the check comes after such a fall. With
+    # features of at most 1/4 no single flip removes half of a sample's
+    # exp-mass, and the fall is spread over many flips.
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(10)))
+    n, k = 16, 3
+    ds = ClassifierDataset(inputs=gen.integers(eighths[0], eighths[1] + 1, size=(n, d)) / 8.0,
+                           targets=np.arange(n) % k, num_classes=k)
+    model = CrossEntropyEnergy(ds)
+    w = -np.ones((k, d), dtype=np.int8)
+    w[0] = 1
+    state = model.make_state(w.ravel())
+    for _ in range(4000 // (2 * d + 8)):  # about 4000 flips
+        for i in gen.integers(d, k * d, size=8):  # stir the other classes
+            state.apply_flip(int(i))
+        for j in range(d):  # class 0 down, then back up
+            state.apply_flip(j)
+        for j in range(d):
+            state.apply_flip(j)
+    for j in range(d):
+        state.apply_flip(j)
+    assert state.energy == pytest.approx(model.energy(state.w), rel=1e-12, abs=1e-12)
+    assert np.max(np.abs(state._lse - _fresh_lse(model, state.w))) <= 1e-12
 
 
 def test_cross_entropy_memo_reuse_consistent(rng):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from replica_anneal.data_io import ExperimentConfig
+from replica_anneal.data_io import ExperimentConfig, read_results, write_results
 from replica_anneal.energies import PerceptronEnergy, generate_synthetic
 from replica_anneal.experiments import (
     build_dataset,
@@ -135,3 +135,18 @@ def test_sweep_gamma_jobs_match_serial():
         return [[dataclasses.replace(r, timestamp="") for r in p.records] for p in points]
 
     assert without_timestamp(pooled) == without_timestamp(serial)
+
+
+def test_sweep_row_reruns_from_its_csv(tmp_path):
+    cfg = _small_config()
+    points = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
+    path = tmp_path / "sweep.csv"
+    write_results([r for p in points for r in p.records], path)
+    rows = read_results(path)
+    assert [r.seed for r in rows] == [[0, p, rep] for p in range(2) for rep in range(2)]
+    row = rows[3]
+    rerun_cfg = dataclasses.replace(cfg, schedule=dict(cfg.schedule, gamma=row.gamma))
+    rerun = train_run(rerun_cfg, seed=row.seed).record
+    assert rerun.config_hash == row.config_hash
+    assert rerun.train_loss == row.train_loss
+    assert rerun.active_transitions == row.active_transitions
