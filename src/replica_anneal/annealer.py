@@ -129,7 +129,6 @@ class AnnealSchedule:
 class RunStats:
     active_transitions: int = 0
     iterations: int = 0
-    trajectory: list = field(default_factory=list)  # (iteration, total energy, accuracies)
     duration_seconds: float = 0.0
 
 
@@ -192,24 +191,16 @@ class Chain:
         self.stats.iterations = self.iteration
         return accepted
 
-    def run(self, record_every: int = 0, observer=None) -> RunStats:
+    def run(self) -> RunStats:
         start = time.perf_counter()
         it_max = self.schedule.it_max
         while self.iteration < it_max:
             self.step()
-            if record_every and self.iteration % record_every == 0:
-                accs = None
-                if hasattr(self.model, "accuracy"):
-                    accs = [self.model.accuracy(s.w) for s in self.states]
-                self.stats.trajectory.append((self.iteration, self.total_energy, accs))
-            if observer is not None:
-                observer(self)
         self.stats.duration_seconds = time.perf_counter() - start
         return self.stats
 
 
-def run(model, schedule, y=1, kernel="combined", seed=0, record_every=0, observer=None):
+def run(model, schedule, y=1, kernel="combined", seed=0):
     """Run a fresh chain for it_max iterations; returns (chain, stats)."""
     chain = Chain(model, y, schedule, kernel=kernel, seed=seed)
-    stats = chain.run(record_every=record_every, observer=observer)
-    return chain, stats
+    return chain, chain.run()

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import exact, verify
-from .data_io import ExperimentConfig, write_results
+from .data_io import ExperimentConfig, _parse_seed, write_results
 from .experiments import robustness_eval, sweep_beta, sweep_gamma, train_run
 
 FULL_SCALE_ITERATIONS = 300_000
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_parse_seed, default=None,
+                       help="an integer, or a sweep row's base/point/rep")
         p.add_argument("--out", help="result file path")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--kernel", choices=("two-stage", "combined"), default=None)

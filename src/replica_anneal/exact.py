@@ -71,9 +71,9 @@ def fields_table(n: int, y: int) -> np.ndarray:
     return fields
 
 
-def _log_cosh_arr(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax - math.log(2.0) + np.log1p(np.exp(-2.0 * ax))
+def _log_cosh_table(gamma: float, y: int) -> np.ndarray:
+    """log cosh(gamma f) for the replica fields f in {-y, ..., y}, indexed by f + y."""
+    return np.array([log_cosh_stable(gamma * f) for f in range(-y, y + 1)])
 
 
 def _normalize_log(logw: np.ndarray) -> np.ndarray:
@@ -86,13 +86,13 @@ def folded_log_weights(energy: np.ndarray, n: int, y: int, beta: float, gamma: f
     """log of the unnormalized qbar weight: -beta sum_a E + sum_i log cosh(gamma f_i)."""
     tot_e = total_energy_table(energy, n, y)
     fields = fields_table(n, y)
-    return -beta * tot_e + _log_cosh_arr(gamma * fields).sum(axis=1)
+    return -beta * tot_e + _log_cosh_table(gamma, y)[fields + y].sum(axis=1)
 
 
 def mu0(n: int, y: int, gamma: float) -> np.ndarray:
     """The beta-free interaction measure mu_0 on ensembles."""
     fields = fields_table(n, y)
-    return _normalize_log(_log_cosh_arr(gamma * fields).sum(axis=1))
+    return _normalize_log(_log_cosh_table(gamma, y)[fields + y].sum(axis=1))
 
 
 def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
@@ -136,6 +136,7 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
     fields = fields_table(n, y)
     size = 2 ** (n * y)
     idx = np.arange(size, dtype=np.int64)
+    log_cosh = _log_cosh_table(gamma, y)
     k_mat = np.zeros((size, size))
     prop = 1.0 / (n * y)
     for a in range(y):
@@ -146,7 +147,7 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
             spin = 2 * ((idx >> bit) & 1) - 1
             f_old = fields[:, i]
             f_new = f_old - 2 * spin
-            delta_h = _log_cosh_arr(gamma * f_new) - _log_cosh_arr(gamma * f_old)
+            delta_h = log_cosh[f_new + y] - log_cosh[f_old + y]
             if kernel == "combined":
                 acc = np.exp(np.minimum(-beta * delta_e + delta_h, 0.0))
             else:
@@ -219,40 +220,6 @@ def compute_elevation_m(model, n: int, y: int) -> float:
             m_best = max(m_best, t - uf.min_e[ru] - uf.min_e[rv])
             uf.parent[ru] = rv
             uf.min_e[rv] = min(uf.min_e[rv], uf.min_e[ru])
-    return m_best
-
-
-def elevation_m_bruteforce(model, n: int, y: int) -> float:
-    """Oracle for compute_elevation_m: enumerate all simple paths (<= 16 states)."""
-    energy = energy_table_of(model, n)
-    weight = total_energy_table(energy, n, y)
-    size = weight.size
-    if size > 16:
-        raise SizeLimitError("brute force limited to 16 states")
-    nbits = n * y
-    neighbors = [[v ^ (1 << b) for b in range(nbits)] for v in range(size)]
-
-    def min_elev(src, dst):
-        best = [math.inf]
-
-        def dfs(v, visited, peak):
-            if peak >= best[0]:
-                return
-            if v == dst:
-                best[0] = peak
-                return
-            for u in neighbors[v]:
-                if not visited & (1 << u):
-                    dfs(u, visited | (1 << u), max(peak, weight[u]))
-
-        dfs(src, 1 << src, weight[src])
-        return best[0]
-
-    m_best = 0.0
-    for s in range(size):
-        for t in range(s + 1, size):
-            h = min_elev(s, t)
-            m_best = max(m_best, h - weight[s] - weight[t])
     return m_best
 
 

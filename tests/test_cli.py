@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -71,6 +72,24 @@ def test_sweep_gamma_rows_per_point(tmp_path, capsys):
     records = read_results(out)
     assert len(records) == 4  # one row per (gamma, repetition)
     assert sorted({r.gamma for r in records}) == [0.0, 0.5]
+
+
+def test_train_reruns_a_sweep_row_from_its_seed(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    sweep_out, train_out = tmp_path / "sweep.csv", tmp_path / "train.csv"
+    cli.main(["sweep-gamma", "--config", str(cfg), "--gamma", "0.0", "0.5",
+              "--repetitions", "2", "--out", str(sweep_out)])
+    with open(sweep_out, newline="") as fh:
+        row = list(csv.DictReader(fh))[3]
+    assert row["seed"] == "0/1/1"
+    schedule = dict(ExperimentConfig.load(cfg).schedule, gamma=float(row["gamma"]))
+    rerun_cfg = _write_config(tmp_path, schedule=schedule)
+    assert cli.main(["train", "--config", str(rerun_cfg), "--seed", row["seed"],
+                     "--out", str(train_out)]) == 0
+    with open(train_out, newline="") as fh:
+        (rerun,) = list(csv.DictReader(fh))
+    for column in ("seed", "train_loss", "active_transitions"):
+        assert rerun[column] == row[column]
 
 
 def test_robustness_prints_curve(tmp_path, capsys):

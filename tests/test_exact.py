@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from replica_anneal import exact, fixtures
-from replica_anneal.annealer import make_rng
-from replica_anneal.energies import TabulatedEnergy
+from replica_anneal.annealer import accept_combined, accept_two_stage, interaction_delta, make_rng
+from replica_anneal.energies import PerceptronEnergy, TabulatedEnergy, generate_synthetic
+from replica_anneal.spins import ReplicaEnsemble
+
+from reference_elevation import elevation_m_bruteforce
 
 
 def test_enumerate_qbar_flat_energy_equals_mu0():
@@ -81,6 +84,29 @@ def test_detailed_balance_both_kernels(tiny_tabulated):
             assert np.abs(flux - flux.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kernel", ["two-stage", "combined"])
+@pytest.mark.parametrize("instance", ["tabulated", "perceptron"])
+def test_chain_moves_match_exact_kernel(kernel, instance):
+    """Every move of every ensemble: the chain's proposal probability times
+    its acceptance equals the exact kernel's off-diagonal entry, so the fast
+    energy delta, interaction_delta and the acceptance rule are each checked
+    against the oracle one move at a time."""
+    if instance == "tabulated":
+        model, n = fixtures.random_integer_energies(3, make_rng(5)), 3
+    else:
+        model, n = PerceptronEnergy(generate_synthetic(count=3, dim=5, seed=4)), 5
+    y, beta, gamma = 2, 1.3, 0.8
+    accept = accept_combined if kernel == "combined" else accept_two_stage
+    k_mat = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
+    for s in range(2 ** (n * y)):
+        ens = ReplicaEnsemble([model.make_state(TabulatedEnergy.config_of(s >> (a * n), n))
+                               for a in range(y)])
+        for a in range(y):
+            for i in range(n):
+                p = accept(ens.states[a].flip_delta(i), interaction_delta(ens, gamma, a, i), beta)
+                assert abs(min(1.0, p) / (n * y) - k_mat[s, s ^ (1 << (a * n + i))]) <= 1e-15
+
+
 def test_stationary_and_gap_two_state():
     model = fixtures.two_state()
     _, qbar, _ = exact.enumerate_qbar(model, 1, 1, 1.0, 0.0)
@@ -131,7 +157,7 @@ def test_elevation_matches_bruteforce(rng):
         for _ in range(4):
             model = fixtures.random_integer_energies(n, rng)
             fast = exact.compute_elevation_m(model, n, y)
-            slow = exact.elevation_m_bruteforce(model, n, y)
+            slow = elevation_m_bruteforce(model, n, y)
             assert fast == pytest.approx(slow, abs=1e-12)
 
 
