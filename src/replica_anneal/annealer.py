@@ -42,6 +42,17 @@ def accept_combined(delta_e: float, delta_h: float, beta: float) -> float:
 
 KERNELS = ("two-stage", "combined")
 
+# steps drawn per call of draw_steps in Chain.propose
+DRAW_BLOCK = 4096
+_LOW32 = 0xFFFFFFFF
+
+
+def _check_values(betas, gammas):
+    if not all(math.isfinite(v) for v in [*betas, *gammas]):
+        raise ValueError("beta and gamma must be finite")
+    if any(g < 0 for g in gammas):
+        raise ValueError("gamma must be nonnegative")
+
 
 @dataclass
 class AnnealSchedule:
@@ -66,13 +77,16 @@ class AnnealSchedule:
         if self.mode not in ("exponential", "piecewise"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "exponential":
+            gammas = [self.gamma_i] + ([] if self.gamma_f is None else [self.gamma_f])
+            _check_values([self.beta_i, self.beta_f], gammas)
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
-            if self.gamma_i < 0:
-                raise ValueError("gamma must be nonnegative")
+            if self.gamma_f is not None and self.gamma_f != self.gamma_i and self.gamma_i == 0:
+                raise ValueError("interpolating gamma needs gamma_i > 0")
         else:
             if not self.stages:
                 raise ValueError("piecewise mode needs stages")
+            _check_values([s[0] for s in self.stages], [s[1] for s in self.stages])
             betas = [s[0] for s in self.stages]
             if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
                 raise ValueError("stage betas must be nondecreasing")
@@ -146,8 +160,86 @@ def spawn_seed(base_seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[int(base_seed), *(int(i) for i in indices)])
 
 
+def _philox(rng) -> np.random.Philox:
+    bit_generator = getattr(rng, "bit_generator", None)
+    if not isinstance(bit_generator, np.random.Philox):
+        raise TypeError("the chain's rng must be a numpy Generator over Philox (see make_rng)")
+    return bit_generator
+
+
+def _scalar_steps(rng, y: int, n: int, k: int, a: list, i: list, u: list):
+    for _ in range(k):
+        a.append(int(rng.integers(y)))
+        i.append(int(rng.integers(n)))
+        u.append(rng.random())
+
+
+def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
+    """(a, i, u) lists equal to k rounds of rng.integers(y), rng.integers(n),
+    rng.random(), bit for bit, leaving rng in the state those calls leave.
+
+    numpy's rules for a Philox Generator: integers(r), 1 < r < 2^32, maps a
+    32-bit half x to (x r) >> 32 and draws again while (x r) mod 2^32 is below
+    (2^32 - r) mod r (Lemire); a half is the low half of a fresh 64-bit word,
+    whose high half is buffered for the next one (state "has_uint32" and
+    "uinteger"); random() is (word >> 11) 2^-53 of a fresh word and leaves the
+    buffer alone; integers(1) draws nothing. So a step takes two words: with
+    the buffer empty a and i are the halves of the first and u is the second;
+    with a half buffered, a is that half, i the low half of the first word,
+    and the first word's high half is buffered for the next step.
+
+    The block takes 2k words in one random_raw call. A step that would draw
+    again (about 1e-8 per draw for ranges near 10) ends the block: the state
+    is restored, moved past the steps before it, and that step is drawn with
+    scalar calls. y = 1 or n = 1 are drawn with scalar calls throughout.
+    """
+    bit_generator = _philox(rng)
+    assert 1 <= y < 2**32 and 1 <= n < 2**32, "ranges must lie in [1, 2^32)"
+    a, i, u = [], [], []
+    if y == 1 or n == 1:
+        _scalar_steps(rng, y, n, k, a, i, u)
+        return a, i, u
+    redraw_y, redraw_n = (2**32 - y) % y, (2**32 - n) % n
+    while k > 0:
+        state = bit_generator.state
+        buffered = state["has_uint32"]
+        words = bit_generator.random_raw(2 * k)
+        halves, uniforms = words[0::2], words[1::2]
+        if buffered:
+            half_a = np.empty(k, dtype=np.uint64)
+            half_a[0] = state["uinteger"]
+            half_a[1:] = halves[:-1] >> 32
+            half_i = halves & _LOW32
+        else:
+            half_a, half_i = halves & _LOW32, halves >> 32
+        scaled_a, scaled_i = half_a * np.uint64(y), half_i * np.uint64(n)
+        redraw = np.flatnonzero(((scaled_a & _LOW32) < redraw_y)
+                                | ((scaled_i & _LOW32) < redraw_n))
+        j = int(redraw[0]) if redraw.size else k
+        a += (scaled_a[:j] >> 32).tolist()
+        i += (scaled_i[:j] >> 32).tolist()
+        u += ((uniforms[:j] >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        if j < k:
+            bit_generator.state = state
+            bit_generator.random_raw(2 * j)
+        if buffered and j > 0:
+            # step j-1's coordinate left its word's high half in the buffer
+            state = bit_generator.state
+            state["uinteger"] = int(halves[j - 1] >> 32)
+            bit_generator.state = state
+        k -= j
+        if k:  # step j draws again
+            _scalar_steps(rng, y, n, 1, a, i, u)
+            k -= 1
+    return a, i, u
+
+
 class Chain:
-    """Single-owner replicated-annealing chain over a model's energy."""
+    """Single-owner replicated-annealing chain over a model's energy.
+
+    `rng` must be a numpy Generator over Philox, as `make_rng` returns: the
+    chain draws its steps in blocks with `draw_steps`.
+    """
 
     def __init__(self, model, y, schedule, kernel="combined", seed=0, rng=None):
         if kernel not in KERNELS:
@@ -156,27 +248,35 @@ class Chain:
         self.schedule = schedule
         self.kernel = kernel
         self.rng = rng if rng is not None else make_rng(seed)
+        _philox(self.rng)
         self.ensemble = ReplicaEnsemble.random(model, y, self.rng)
         self.states = self.ensemble.states
         self.iteration = 0
         self.stats = RunStats()
+        self._draws = iter(())
 
     @property
     def total_energy(self) -> float:
         return sum(s.energy for s in self.states)
 
-    def propose(self) -> tuple[int, int]:
-        """(replica, coordinate) of the proposed flip, drawn in that order."""
-        a = int(self.rng.integers(self.ensemble.y))
-        i = int(self.rng.integers(self.ensemble.n))
-        return a, i
+    def propose(self) -> tuple[int, int, float]:
+        """(replica, coordinate, uniform) of this step, drawn in that order.
+
+        Taken from a block of draw_steps that ends at it_max, so when run()
+        returns the generator is where scalar draws would have left it.
+        """
+        draw = next(self._draws, None)
+        if draw is None:
+            k = max(1, min(DRAW_BLOCK, self.schedule.it_max - self.iteration))
+            self._draws = zip(*draw_steps(self.rng, self.ensemble.y, self.ensemble.n, k))
+            draw = next(self._draws)
+        return draw
 
     def step(self) -> bool:
         """One propose/accept cycle; returns True when the flip was accepted."""
         beta = self.schedule.beta_at(self.iteration)
         gamma = self.schedule.gamma_at(self.iteration)
-        a, i = self.propose()
-        u = self.rng.random()
+        a, i, u = self.propose()
         delta_e = self.states[a].flip_delta(i)
         delta_h = interaction_delta(self.ensemble, gamma, a, i)
         if self.kernel == "combined":

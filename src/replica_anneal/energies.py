@@ -76,6 +76,9 @@ class PerceptronEnergy:
         self.odd_mode = data.n % 2 == 1
         # signed patterns theta^mu * xi^mu, so margins are just a matvec
         self._signed = (data.patterns * data.labels[:, None]).astype(np.int64)
+        # row i is 2 theta^mu xi^mu_i over mu: flipping w_i moves every margin by
+        # -w_i times it, contiguous so that a flip reads one row
+        self._flip_rows = np.ascontiguousarray(2 * self._signed.T)
 
     def margins(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -100,26 +103,44 @@ class PerceptronEnergy:
 
 
 class PerceptronState:
-    """Per-replica cache of margins theta^mu <W, xi^mu> for the current W."""
+    """Per-replica cache of q = off - margins, off = 1 for odd N and 0 for even N.
+
+    2 R(-m) = max(off - m, 0) in both parities, so twice the energy is the
+    integer max(q, 0).sum() and every delta is exact. flip_delta leaves the
+    flipped q in a scratch row that apply_flip swaps in through `_memo`.
+    """
 
     def __init__(self, model: PerceptronEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
-        self._margins = model.margins(self.w)
-        self.energy = float(np.sum(rectified_margin(-self._margins, model.odd_mode)))
+        self._q = int(model.odd_mode) - model.margins(self.w)
+        self._e2 = int(np.maximum(self._q, 0).sum())
+        self.energy = self._e2 / 2
+        # scratch rows; a zero row is a cheaper operand for np.maximum than 0
+        self._q_new, self._pos, self._zero = np.zeros((3, self._q.size), dtype=np.int64)
+        self._memo = None
 
-    # The energy is a sum of integers, so every float here is exact and the
-    # cached energy can stand in for the sum over the old margins.
     def flip_delta(self, i: int) -> float:
-        new_m = self._margins - 2 * self.w[i] * self.model._signed[:, i]
-        return float(np.sum(rectified_margin(-new_m, self.model.odd_mode))) - self.energy
+        row = self.model._flip_rows[i]
+        if self.w[i] > 0:
+            np.add(self._q, row, out=self._q_new)
+        else:
+            np.subtract(self._q, row, out=self._q_new)
+        np.maximum(self._q_new, self._zero, out=self._pos)
+        e2 = int(np.add.reduce(self._pos))
+        self._memo = (i, e2)
+        return (e2 - self._e2) / 2
 
     def apply_flip(self, i: int) -> float:
-        self._margins -= 2 * self.w[i] * self.model._signed[:, i]
+        if self._memo is None or self._memo[0] != i:
+            self.flip_delta(i)
+        e2 = self._memo[1]
+        self._memo = None
+        self._q, self._q_new = self._q_new, self._q
         self.w[i] = -self.w[i]
-        energy = float(np.sum(rectified_margin(-self._margins, self.model.odd_mode)))
-        delta = energy - self.energy
-        self.energy = energy
+        delta = (e2 - self._e2) / 2
+        self._e2 = e2
+        self.energy = e2 / 2
         return delta
 
 

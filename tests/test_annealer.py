@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,13 +10,20 @@ from replica_anneal.annealer import (
     Chain,
     accept_combined,
     accept_two_stage,
+    draw_steps,
     interaction_delta,
     log_cosh_stable,
     make_rng,
     run,
     spawn_seed,
 )
-from replica_anneal.energies import TabulatedEnergy
+from replica_anneal.energies import (
+    ClassifierDataset,
+    CrossEntropyEnergy,
+    PerceptronEnergy,
+    TabulatedEnergy,
+    generate_synthetic,
+)
 from replica_anneal.spins import ReplicaEnsemble
 from replica_anneal import fixtures
 
@@ -128,6 +136,25 @@ def test_schedule_validation_errors():
         sched.beta_at(11)
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=0.0, gamma_f=1.0),
+                 id="gamma-interpolated-from-zero"),
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=1.0, gamma_f=-1.0),
+                 id="negative-final-gamma"),
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=math.nan),
+                 id="nan-gamma"),
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, math.inf, 500),
+                 id="infinite-beta"),
+    pytest.param(lambda: AnnealSchedule.piecewise([(1.0, 0.0, 3), (2.0, -0.5, 2)]),
+                 id="negative-stage-gamma"),
+    pytest.param(lambda: AnnealSchedule.piecewise([(1.0, math.inf, 3)]),
+                 id="infinite-stage-gamma"),
+])
+def test_schedule_rejects_invalid_values_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_azencott_stage_lengths():
     # T_k = e^{m beta_k} (log kappa1 + C b)/C with m=1, kappa1=e, C=b=1
     sched = AnnealSchedule.azencott_stages(
@@ -192,3 +219,75 @@ def test_spawn_seed_independent_streams():
 
 def test_make_rng_reproducible():
     assert make_rng(7).random(4).tolist() == make_rng(7).random(4).tolist()
+
+
+def _scalar_steps(rng, y, n, k):
+    draws = ([], [], [])
+    for _ in range(k):
+        draws[0].append(int(rng.integers(y)))
+        draws[1].append(int(rng.integers(n)))
+        draws[2].append(rng.random())
+    return draws
+
+
+@pytest.mark.parametrize("k", [1, 7, 4000])
+@pytest.mark.parametrize("halves_before", [0, 1, 15])
+@pytest.mark.parametrize("y, n", [(10, 100), (3, 7840), (1, 25), (4, 1),
+                                  (2**31 + 1, 3 * 2**30)])
+def test_draw_steps_match_scalar_draws(y, n, halves_before, k):
+    # an odd number of halves drawn before leaves one buffered in the generator;
+    # 2^31 + 1 and 3 * 2^30 redraw about 50% and 25% of their draws
+    block, scalar = make_rng(11), make_rng(11)
+    for gen in (block, scalar):
+        gen.integers(0, 2, size=halves_before)
+    assert draw_steps(block, y, n, k) == _scalar_steps(scalar, y, n, k)
+    assert block.integers(1000, size=3).tolist() == scalar.integers(1000, size=3).tolist()
+    assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
+
+
+def test_chain_and_draw_steps_need_a_philox_rng(two_state):
+    sched = AnnealSchedule.exponential(1.0, 1.0, 10)
+    with pytest.raises(TypeError):
+        Chain(two_state, 1, sched, rng=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        draw_steps(np.random.default_rng(0), 2, 3, 5)
+
+
+def _pinned_chains():
+    perceptron = PerceptronEnergy(generate_synthetic(count=16, dim=11, seed=3))
+    perceptron_sched = AnnealSchedule.exponential(0.1, 1.0, 5000, gamma=0.5)
+    gen = make_rng(6)
+    classifier = ClassifierDataset(gen.random((24, 3)), gen.integers(0, 3, 24), 3)
+    return {
+        # y*N = 33 is odd: the block draws start with a half buffered
+        "perceptron-combined": Chain(perceptron, 3, perceptron_sched, kernel="combined",
+                                     rng=make_rng(31)),
+        "perceptron-two-stage": Chain(perceptron, 3, perceptron_sched, kernel="two-stage",
+                                      rng=make_rng(31)),
+        "tabulated": Chain(fixtures.random_integer_energies(3, make_rng(5)), 2,
+                           AnnealSchedule.exponential(0.2, 5.0, 5000, gamma=0.7),
+                           rng=make_rng(32)),
+        "cross-entropy": Chain(CrossEntropyEnergy(classifier), 2,
+                               AnnealSchedule.exponential(0.5, 20.0, 5000, gamma=0.3),
+                               rng=make_rng(33)),
+    }
+
+
+# (active transitions, sha256 prefix of the final spins, final energies, the
+# generator's next random()), recorded with one scalar draw call per value
+PINNED_TRAJECTORIES = {
+    "perceptron-combined": (2514, "90e879575c314c31", [3.0, 5.0, 4.0], 0.43128363720230567),
+    "perceptron-two-stage": (2387, "8f2c8ed4aa7b1889", [4.0, 5.0, 8.0], 0.43128363720230567),
+    "tabulated": (884, "3053b491c2ed31eb", [0.0, 0.0], 0.41916977666855615),
+    "cross-entropy": (594, "c6544aa8b5a3d5b3", [23.808499838970974, 24.92688341306466],
+                      0.5053402987082218),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TRAJECTORIES))
+def test_block_draw_trajectories_are_pinned(name):
+    chain = _pinned_chains()[name]
+    chain.run()  # 5000 steps: a 4096-step block and a 904-step block
+    spins = np.concatenate([s.w for s in chain.states])
+    assert (chain.stats.active_transitions, hashlib.sha256(spins.tobytes()).hexdigest()[:16],
+            [s.energy for s in chain.states], chain.rng.random()) == PINNED_TRAJECTORIES[name]

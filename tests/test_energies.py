@@ -78,6 +78,24 @@ def test_perceptron_state_delta_matches_recompute(small_patterns, rng):
         assert state.energy == model.energy(state.w)
 
 
+@pytest.mark.parametrize("dim", [11, 10])
+def test_perceptron_apply_flip_exact_after_another_delta(dim, rng):
+    # flip_delta(j) overwrites the scratch row that flip_delta(i) left for apply_flip(i)
+    model = PerceptronEnergy(generate_synthetic(count=9, dim=dim, seed=4))
+    state = model.make_state(rng.integers(0, 2, size=dim).astype(np.int8) * 2 - 1)
+    for _ in range(40):
+        i, j = (int(v) for v in rng.integers(dim, size=2))
+        w2 = state.w.copy()
+        w2[i] = -w2[i]
+        expected = model.energy(w2) - model.energy(state.w)
+        state.flip_delta(i)
+        state.flip_delta(j)
+        assert state.apply_flip(i) == expected
+        assert np.array_equal(state.w, w2)
+        assert state.energy == model.energy(w2)
+        assert state.flip_delta(i) == -expected
+
+
 def _toy_classifier(seed=0, n=12, d=5, k=3):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     return ClassifierDataset(inputs=gen.random((n, d)),

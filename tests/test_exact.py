@@ -221,35 +221,9 @@ def test_limit_distribution_flat_energy():
     assert rep["N0_size"] == 16
 
 
-def test_limit_distribution_cluster(cluster4):
-    rep = exact.limit_distribution_check(cluster4, 4, 2, gamma=0.5)
-    assert rep["mass_outside_N0"] <= 1e-6
-    assert rep["linf_conditional_vs_mu0"] <= 1e-6
-    assert rep["linf_vs_uniform_on_tildeN0"] <= 1e-6
-
-
 def test_limit_distribution_gamma0_uniform_on_n0(cluster4):
     rep = exact.limit_distribution_check(cluster4, 4, 2, gamma=0.0)
     assert rep["linf_conditional_vs_mu0"] <= 1e-9  # mu0 is uniform at gamma=0
-
-
-def test_dense_region_mass_gamma0_exact(cluster4):
-    center = fixtures.dense_center_index(4)
-    mass = exact.dense_region_mass(cluster4, 4, 2, 0.0, center, radius=1)
-    assert mass == pytest.approx((5 / 6) ** 2, abs=1e-10)
-
-
-def test_dense_region_mass_full_ball_is_one(cluster4):
-    center = fixtures.dense_center_index(4)
-    mass = exact.dense_region_mass(cluster4, 4, 2, 1.0, center, radius=4)
-    assert mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dense_region_mass_amplified_at_positive_gamma(cluster4):
-    center = fixtures.dense_center_index(4)
-    base = exact.dense_region_mass(cluster4, 4, 2, 0.0, center, radius=1)
-    for gamma in (0.25, 0.5, 1.0, 2.0, 3.0):
-        assert exact.dense_region_mass(cluster4, 4, 2, gamma, center, radius=1) > base
 
 
 def test_classify_minima_cluster(cluster4):
