@@ -9,7 +9,6 @@ from .annealer import (
     interaction_delta,
     log_cosh_stable,
     make_rng,
-    run,
     spawn_seed,
 )
 from .energies import (
@@ -25,7 +24,7 @@ from .spins import ReplicaEnsemble
 
 __all__ = [
     "AnnealSchedule", "Chain", "RunStats", "accept_combined", "accept_two_stage",
-    "interaction_delta", "log_cosh_stable", "make_rng", "run", "spawn_seed",
+    "interaction_delta", "log_cosh_stable", "make_rng", "spawn_seed",
     "ClassifierDataset", "CrossEntropyEnergy", "PatternSet", "PerceptronEnergy",
     "TabulatedEnergy", "generate_synthetic", "rectified_margin",
     "ReplicaEnsemble",

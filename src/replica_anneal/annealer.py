@@ -71,7 +71,7 @@ class AnnealSchedule:
     gamma_i: float = 0.0
     gamma_f: float | None = None
     stages: list[tuple[float, float, int]] | None = None
-    _stage_bounds: np.ndarray | None = field(default=None, repr=False)
+    _stage_bounds: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exponential", "piecewise"):
@@ -160,13 +160,6 @@ def spawn_seed(base_seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[int(base_seed), *(int(i) for i in indices)])
 
 
-def _philox(rng) -> np.random.Philox:
-    bit_generator = getattr(rng, "bit_generator", None)
-    if not isinstance(bit_generator, np.random.Philox):
-        raise TypeError("the chain's rng must be a numpy Generator over Philox (see make_rng)")
-    return bit_generator
-
-
 def _scalar_steps(rng, y: int, n: int, k: int, a: list, i: list, u: list):
     for _ in range(k):
         a.append(int(rng.integers(y)))
@@ -193,7 +186,9 @@ def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
     is restored, moved past the steps before it, and that step is drawn with
     scalar calls. y = 1 or n = 1 are drawn with scalar calls throughout.
     """
-    bit_generator = _philox(rng)
+    bit_generator = getattr(rng, "bit_generator", None)
+    if not isinstance(bit_generator, np.random.Philox):
+        raise TypeError("draw_steps needs a numpy Generator over Philox (see make_rng)")
     assert 1 <= y < 2**32 and 1 <= n < 2**32, "ranges must lie in [1, 2^32)"
     a, i, u = [], [], []
     if y == 1 or n == 1:
@@ -237,18 +232,17 @@ def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
 class Chain:
     """Single-owner replicated-annealing chain over a model's energy.
 
-    `rng` must be a numpy Generator over Philox, as `make_rng` returns: the
-    chain draws its steps in blocks with `draw_steps`.
+    The chain's generator is `make_rng(seed)`; it draws its steps in blocks
+    with `draw_steps`.
     """
 
-    def __init__(self, model, y, schedule, kernel="combined", seed=0, rng=None):
+    def __init__(self, model, y, schedule, kernel="combined", seed=0):
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
         self.model = model
         self.schedule = schedule
         self.kernel = kernel
-        self.rng = rng if rng is not None else make_rng(seed)
-        _philox(self.rng)
+        self.rng = make_rng(seed)
         self.ensemble = ReplicaEnsemble.random(model, y, self.rng)
         self.states = self.ensemble.states
         self.iteration = 0
@@ -298,9 +292,3 @@ class Chain:
             self.step()
         self.stats.duration_seconds = time.perf_counter() - start
         return self.stats
-
-
-def run(model, schedule, y=1, kernel="combined", seed=0):
-    """Run a fresh chain for it_max iterations; returns (chain, stats)."""
-    chain = Chain(model, y, schedule, kernel=kernel, seed=seed)
-    return chain, chain.run()

@@ -12,9 +12,8 @@ import numpy as np
 
 from . import exact, verify
 from .data_io import ExperimentConfig, _parse_seed, write_results
-from .experiments import robustness_eval, sweep_beta, sweep_gamma, train_run
+from .experiments import build_schedule, robustness_eval, sweep_beta, sweep_gamma, train_run
 
-FULL_SCALE_ITERATIONS = 300_000
 DESK_SCALE_CAP = 100_000
 
 
@@ -24,9 +23,10 @@ def _load_config(args) -> ExperimentConfig:
         config.seed = args.seed
     if args.kernel:
         config.kernel = args.kernel
-    if not args.full_scale and config.schedule.get("it_max", 0) > DESK_SCALE_CAP:
+    it_max = build_schedule(config.schedule).it_max
+    if not args.full_scale and it_max > DESK_SCALE_CAP:
         raise SystemExit(
-            f"it_max {config.schedule['it_max']} exceeds the desk-scale cap "
+            f"it_max {it_max} exceeds the desk-scale cap "
             f"{DESK_SCALE_CAP}; pass --full-scale to unlock long runs")
     return config
 
@@ -46,26 +46,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep_beta(args) -> int:
-    config = _load_config(args)
-    points = sweep_beta(config, args.beta_i, args.beta_f,
-                        repetitions=args.repetitions, jobs=args.jobs)
-    records = [r for p in points for r in p.records]
-    _emit(records, args)
-    for point in points:
-        print(json.dumps({"point": point.label,
-                          "train_accuracy": point.mean_train_accuracy,
-                          "ci": point.ci_train_accuracy,
-                          "active_transitions": point.mean_active_transitions},
-                         sort_keys=True))
-    return 0
-
-
-def cmd_sweep_gamma(args) -> int:
-    config = _load_config(args)
-    points = sweep_gamma(config, args.gamma, repetitions=args.repetitions, jobs=args.jobs)
-    records = [r for p in points for r in p.records]
-    _emit(records, args)
+def _emit_sweep(points, args) -> int:
+    _emit([r for p in points for r in p.records], args)
     for point in points:
         print(json.dumps({"point": point.label,
                           "train_accuracy": point.mean_train_accuracy,
@@ -74,6 +56,16 @@ def cmd_sweep_gamma(args) -> int:
                           "active_transitions": point.mean_active_transitions},
                          sort_keys=True))
     return 0
+
+
+def cmd_sweep_beta(args) -> int:
+    return _emit_sweep(sweep_beta(_load_config(args), args.beta_i, args.beta_f,
+                                  repetitions=args.repetitions, jobs=args.jobs), args)
+
+
+def cmd_sweep_gamma(args) -> int:
+    return _emit_sweep(sweep_gamma(_load_config(args), args.gamma,
+                                   repetitions=args.repetitions, jobs=args.jobs), args)
 
 
 def cmd_robustness(args) -> int:
@@ -122,26 +114,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=_parse_seed, default=None,
                        help="an integer, or a sweep row's base/point/rep")
-        p.add_argument("--out", help="result file path")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--kernel", choices=("two-stage", "combined"), default=None)
         p.add_argument("--full-scale", action="store_true",
                        help=f"allow runs beyond {DESK_SCALE_CAP} iterations")
+
+    def records(p):
+        p.add_argument("--out", help="result file path")
+        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+
+    def sweep(p):
+        common(p)
+        records(p)
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("train", help="single annealing run")
     common(p)
+    records(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep-beta", help="grid over (beta_i, beta_f)")
-    common(p)
+    sweep(p)
     p.add_argument("--beta-i", dest="beta_i", type=float, nargs="+", required=True)
     p.add_argument("--beta-f", dest="beta_f", type=float, nargs="+", required=True)
     p.add_argument("--repetitions", type=int, default=1)
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("sweep-gamma", help="sweep over gamma values")
-    common(p)
+    sweep(p)
     p.add_argument("--gamma", type=float, nargs="+", required=True)
     p.add_argument("--repetitions", type=int, default=10)
     p.set_defaults(func=cmd_sweep_gamma)

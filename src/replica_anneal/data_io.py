@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -64,8 +65,9 @@ def parse_idx(data: bytes) -> IdxFile:
     header = 4 + 4 * ndim
     if len(data) < header:
         raise TruncatedPayloadError("file too short for the dimension fields")
-    dims = struct.unpack(f">{ndim}i", data[4:header])
-    expected = int(np.prod(dims))
+    # unsigned; math.prod, because np.prod would wrap in int64 for dims near 2^32
+    dims = struct.unpack(f">{ndim}I", data[4:header])
+    expected = math.prod(dims)
     payload = data[header:]
     if len(payload) != expected:
         raise TruncatedPayloadError(
@@ -81,7 +83,7 @@ def write_idx(path, idx: IdxFile) -> None:
     """Inverse of read_idx, mainly for fixtures and round-trip tests."""
     with open(path, "wb") as fh:
         fh.write(struct.pack(">i", idx.magic))
-        fh.write(struct.pack(f">{len(idx.dims)}i", *idx.dims))
+        fh.write(struct.pack(f">{len(idx.dims)}I", *idx.dims))
         fh.write(np.asarray(idx.payload, dtype=np.uint8).tobytes())
 
 

@@ -223,11 +223,9 @@ class CrossEntropyEnergy:
         true_logit = logits[np.arange(self.dataset.n), self.dataset.targets]
         return float(np.sum(lse - true_logit))
 
-    def accuracy(self, w, dataset: ClassifierDataset | None = None) -> float:
-        ds = dataset if dataset is not None else self.dataset
-        logits = ds.inputs @ self._weight_matrix(w).T
+    def accuracy(self, w) -> float:
         # ties broken toward the smallest class index (argmax convention)
-        return float(np.mean(np.argmax(logits, axis=1) == ds.targets))
+        return float(np.mean(np.argmax(self.logits(w), axis=1) == self.dataset.targets))
 
     def make_state(self, w) -> "CrossEntropyState":
         return CrossEntropyState(self, w)

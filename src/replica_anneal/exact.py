@@ -10,7 +10,7 @@ same rule with y = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,16 @@ from .annealer import log_cosh_stable
 
 MAX_NY_TABLES = 16
 MAX_NY_KERNEL = 12
+
+# largest |qbar K - (qbar K)^T| accepted as detailed balance
+REVERSIBILITY_TOL = 1e-10
+# beta grid of compute_constants' kappa1 fit and spectral-gap bracket
+BETA_GRID = np.linspace(2.0, 15.0, 14)
+# validate_schedule passes when the criterion trace ends below -SCHEDULE_THRESHOLD
+SCHEDULE_THRESHOLD = 10.0
+# beta and gamma standing in for the beta -> inf and gamma -> inf limit laws
+BETA_LARGE = 50.0
+GAMMA_LARGE = 50.0
 
 
 class SizeLimitError(ValueError):
@@ -61,14 +71,14 @@ def total_energy_table(energy: np.ndarray, n: int, y: int) -> np.ndarray:
 
 
 def fields_table(n: int, y: int) -> np.ndarray:
-    """(2^{Ny}, N) matrix of replica field sums sum_a sigma_i^a."""
-    idx = np.arange(2 ** (n * y), dtype=np.int64)
-    fields = np.zeros((idx.size, n), dtype=np.int64)
-    for a in range(y):
-        for i in range(n):
-            bit = (idx >> (a * n + i)) & 1
-            fields[:, i] += 2 * bit - 1
-    return fields
+    """(2^{Ny}, N) int64 matrix of replica field sums sum_a sigma_i^a.
+
+    Replica a's configuration is digit a of the ensemble index in base 2^N,
+    so on the index split into y digits, most significant first, replica a's
+    spins vary along axis y-1-a: a broadcast sum of y reshaped config tables.
+    """
+    configs = enumerate_configs(n).astype(np.int64)
+    return sum(configs.reshape((-1,) + (1,) * a + (n,)) for a in range(y)).reshape(-1, n)
 
 
 def _log_cosh_table(gamma: float, y: int) -> np.ndarray:
@@ -157,7 +167,7 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
     return k_mat
 
 
-def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, reversibility_tol: float = 1e-10):
+def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray):
     """(stationary vector, second largest eigenvalue, spectral gap psi).
 
     Requires the kernel reversible w.r.t. qbar; the spectrum is computed on
@@ -165,12 +175,11 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, reversibility_tol: 
     """
     flux = qbar[:, None] * matrix
     asym = np.abs(flux - flux.T).max()
-    if asym > reversibility_tol:
+    if asym > REVERSIBILITY_TOL:
         raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
     sq = np.sqrt(qbar)
     sym = (sq[:, None] * matrix) / sq[None, :]
-    eigs = np.linalg.eigvalsh(sym)
-    lam1 = float(np.sort(eigs)[-2])
+    lam1 = float(np.linalg.eigvalsh(sym)[-2])  # eigenvalues come in ascending order
     psi = 1.0 - lam1
     stationary = qbar @ matrix
     return stationary, lam1, psi
@@ -246,44 +255,34 @@ def _n0_sets(energy: np.ndarray, n: int, y: int, tol: float = 1e-12):
 
 
 def compute_constants(model, n: int, y: int, gamma: float,
-                      beta_grid=None, kernel: str = "combined") -> ConvergenceConstants:
+                      kernel: str = "combined") -> ConvergenceConstants:
     """Per-instance constants: energy gap B, interaction gap B', elevation m,
-    a fitted kappa1, and the spectral-gap bracket [c, C] over a beta grid."""
+    a fitted kappa1, and the spectral-gap bracket [c, C] over BETA_GRID."""
     energy = energy_table_of(model, n)
     nonzero = energy[energy > 1e-12]
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
     m = compute_elevation_m(model, n, y)
     n0, tilde = _n0_sets(energy, n, y)
-
-    if beta_grid is None:
-        beta_grid = np.linspace(2.0, 15.0, 14)
-    beta_grid = np.asarray(beta_grid, dtype=np.float64)
+    qbars = [_normalize_log(folded_log_weights(energy, n, y, beta, gamma)) for beta in BETA_GRID]
 
     # kappa1: smallest constant with ||qbar_b1 - qbar_b2||_inf <= kappa1 e^{-b1 B}
     kappa1 = 1.0
     if b_const is not None:
-        prev = _normalize_log(folded_log_weights(energy, n, y, beta_grid[0], gamma))
-        for b1, b2 in zip(beta_grid, beta_grid[1:]):
-            cur = _normalize_log(folded_log_weights(energy, n, y, b2, gamma))
-            diff = np.abs(cur - prev).max()
-            kappa1 = max(kappa1, diff * math.exp(b1 * b_const))
-            prev = cur
+        for b1, prev, cur in zip(BETA_GRID, qbars, qbars[1:]):
+            kappa1 = max(kappa1, np.abs(cur - prev).max() * math.exp(b1 * b_const))
 
+    # compute_elevation_m has already checked N*y <= MAX_NY_KERNEL
     psi_values = []
     scaled = []
-    if n * y <= MAX_NY_KERNEL:
-        for beta in beta_grid:
-            qbar = _normalize_log(folded_log_weights(energy, n, y, beta, gamma))
-            k_mat = build_kernel_matrix(model, n, y, beta, gamma, kernel)
-            _, _, psi = stationary_and_gap(k_mat, qbar)
-            psi_values.append((float(beta), float(psi)))
-            scaled.append(psi * math.exp(beta * m))
-    c_low = float(min(scaled)) if scaled else 0.0
-    c_high = float(max(scaled)) if scaled else 0.0
+    for beta, qbar in zip(BETA_GRID, qbars):
+        k_mat = build_kernel_matrix(model, n, y, beta, gamma, kernel)
+        _, _, psi = stationary_and_gap(k_mat, qbar)
+        psi_values.append((float(beta), float(psi)))
+        scaled.append(psi * math.exp(beta * m))
     return ConvergenceConstants(B=b_const, Bprime=float(b_prime), m=float(m),
                                 kappa1=float(kappa1), psi_values=psi_values,
-                                N0=n0, tildeN0=tilde, c=c_low, C=c_high)
+                                N0=n0, tildeN0=tilde, c=float(min(scaled)), C=float(max(scaled)))
 
 
 @dataclass
@@ -293,7 +292,6 @@ class ScheduleVerdict:
     weight_sum_grows: bool
     final_value: float
     trailing_slope: float
-    threshold: float
 
     def as_dict(self):
         return {
@@ -301,17 +299,17 @@ class ScheduleVerdict:
             "final_value": self.final_value,
             "trailing_slope": self.trailing_slope,
             "weight_sum_grows": self.weight_sum_grows,
-            "threshold": self.threshold,
+            "threshold": SCHEDULE_THRESHOLD,
             "note": "finite-horizon proxy for an asymptotic condition",
         }
 
 
-def validate_schedule(stages, m: float, kappa1: float, threshold: float = 10.0) -> ScheduleVerdict:
+def validate_schedule(stages, m: float, kappa1: float) -> ScheduleVerdict:
     """Finite-horizon check of the convergence criterion
     -sum_k T_k e^{-beta_k m} + n log kappa1 -> -infinity.
 
     stages: sequence of (beta_k, T_k). PASS requires the trace to end below
-    -threshold with a negative trailing-quarter slope.
+    -SCHEDULE_THRESHOLD with a negative trailing-quarter slope.
     """
     if len(stages) == 0:
         raise ValueError("empty schedule")
@@ -326,35 +324,35 @@ def validate_schedule(stages, m: float, kappa1: float, threshold: float = 10.0) 
     q = max(2, betas.size // 4)
     tail = trace[-q:]
     slope = float(np.polyfit(np.arange(q), tail, 1)[0])
-    passed = bool(trace[-1] < -threshold and slope < 0)
+    passed = bool(trace[-1] < -SCHEDULE_THRESHOLD and slope < 0)
     grows = bool(weight_sum[-1] > weight_sum[max(0, 3 * betas.size // 4) - 1])
     return ScheduleVerdict(passed=passed, criterion_trace=trace,
                            weight_sum_grows=grows, final_value=float(trace[-1]),
-                           trailing_slope=slope, threshold=threshold)
+                           trailing_slope=slope)
 
 
-def limit_distribution_check(model, n: int, y: int, gamma: float,
-                             beta_large: float = 50.0, gamma_large: float = 50.0) -> dict:
-    """Concentration of qbar at large beta (on N0, proportional to mu_0) and
-    at large beta and gamma (uniform on the aligned zero-energy set)."""
+def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
+    """Concentration of qbar at beta = BETA_LARGE (on N0, proportional to
+    mu_0) and at beta = BETA_LARGE, gamma = GAMMA_LARGE (uniform on the
+    aligned zero-energy set)."""
     _check_size(n, y, MAX_NY_TABLES)
     energy = energy_table_of(model, n)
     n0, tilde = _n0_sets(energy, n, y)
-    qbar = _normalize_log(folded_log_weights(energy, n, y, beta_large, gamma))
+    qbar = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, gamma))
     mass_outside = float(1.0 - qbar[n0].sum())
     mu = mu0(n, y, gamma)
     cond = qbar[n0] / qbar[n0].sum()
     mu_cond = mu[n0] / mu[n0].sum()
     linf_vs_mu0 = float(np.abs(cond - mu_cond).max())
 
-    qbar_gg = _normalize_log(folded_log_weights(energy, n, y, beta_large, gamma_large))
+    qbar_gg = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, GAMMA_LARGE))
     uniform = np.full(tilde.size, 1.0 / tilde.size) if tilde.size else np.array([])
     cond_gg = qbar_gg[tilde] / qbar_gg[tilde].sum() if tilde.size else np.array([])
     linf_vs_uniform = float(np.abs(cond_gg - uniform).max()) if tilde.size else math.nan
     return {
-        "beta_large": beta_large,
+        "beta_large": BETA_LARGE,
         "gamma": gamma,
-        "gamma_large": gamma_large,
+        "gamma_large": GAMMA_LARGE,
         "mass_outside_N0": mass_outside,
         "linf_conditional_vs_mu0": linf_vs_mu0,
         "mass_outside_tildeN0_at_gamma_large": float(1.0 - qbar_gg[tilde].sum()) if tilde.size else math.nan,
@@ -366,20 +364,17 @@ def limit_distribution_check(model, n: int, y: int, gamma: float,
 
 def hamming_table(n: int, center_index: int) -> np.ndarray:
     """Hamming distance of every configuration index to the given one."""
-    idx = np.arange(2**n, dtype=np.int64) ^ center_index
-    dist = np.zeros(2**n, dtype=np.int64)
-    for b in range(n):
-        dist += (idx >> b) & 1
-    return dist
+    configs = enumerate_configs(n)
+    return np.count_nonzero(configs != configs[center_index], axis=1)
 
 
 def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
-                      radius: int, beta_large: float = 50.0) -> float:
-    """qbar mass of the event that every replica lies in the Hamming ball
-    of the given radius around the center configuration."""
+                      radius: int) -> float:
+    """qbar mass at beta = BETA_LARGE of the event that every replica lies in
+    the Hamming ball of the given radius around the center configuration."""
     _check_size(n, y, MAX_NY_TABLES)
     energy = energy_table_of(model, n)
-    qbar = _normalize_log(folded_log_weights(energy, n, y, beta_large, gamma))
+    qbar = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, gamma))
     in_ball = hamming_table(n, center_index) <= radius
     states = replica_states(n, y)
     event = np.all(in_ball[states], axis=1)
@@ -390,29 +385,19 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
 class MinimumInfo:
     index: int
     counts: dict             # radius -> number of global minima in the ball
-    isolation_radius: int    # largest R with exactly one minimum in B_R
+    isolation_radius: int    # largest R <= N with exactly one minimum in B_R
 
 
-@dataclass
-class MinimaReport:
-    minima: list = field(default_factory=list)
-
-
-def classify_minima(model, n: int, r_grid=None) -> MinimaReport:
-    """For each global minimum: the (R, k)-density profile and isolation radius."""
+def classify_minima(model, n: int) -> list[MinimumInfo]:
+    """For each global minimum: the (R, k)-density profile over R = 0..N and
+    the isolation radius, one less than the nearest other minimum's distance."""
     energy = energy_table_of(model, n)
     minima = np.flatnonzero(energy <= energy.min() + 1e-12)
-    if r_grid is None:
-        r_grid = list(range(n + 1))
-    report = MinimaReport()
+    infos = []
     for m_idx in minima:
         dist = hamming_table(n, int(m_idx))[minima]
-        counts = {int(r): int(np.sum(dist <= r)) for r in r_grid}
-        iso = -1
-        for r in range(n + 1):
-            if int(np.sum(dist <= r)) == 1:
-                iso = r
-            else:
-                break
-        report.minima.append(MinimumInfo(index=int(m_idx), counts=counts, isolation_radius=iso))
-    return report
+        others = dist[dist > 0]
+        infos.append(MinimumInfo(index=int(m_idx),
+                                 counts={r: int(np.sum(dist <= r)) for r in range(n + 1)},
+                                 isolation_radius=int(others.min()) - 1 if others.size else n))
+    return infos

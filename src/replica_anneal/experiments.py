@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annealer import AnnealSchedule, Chain, make_rng, spawn_seed
+from .annealer import AnnealSchedule, Chain, spawn_seed
 from .data_io import ExperimentConfig, ResultRecord, load_mnist, make_splits, subsample
 from .energies import (
     ClassifierDataset,
@@ -22,56 +22,71 @@ from .energies import (
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# the keys each config spec reads, by its kind or mode; any other key is refused
+SPEC_KEYS = {
+    ("dataset", "synthetic"): ("kind", "count", "dim", "seed"),
+    ("dataset", "mnist"): ("kind", "directory", "per_class_train", "per_class_test",
+                           "subsample", "seed"),
+    ("model", "perceptron"): ("kind",),
+    ("model", "cross-entropy"): ("kind",),
+    ("schedule", "exponential"): ("mode", "beta_i", "beta_f", "gamma", "gamma_f", "it_max"),
+    ("schedule", "piecewise"): ("mode", "stages"),
+}
+
+
+def _spec_kind(spec: dict, section: str, key: str, default: str) -> str:
+    """The spec's kind (or mode), after refusing an unknown one and every key
+    that kind does not read."""
+    kind = spec.get(key, default)
+    if (section, kind) not in SPEC_KEYS:
+        raise ValueError(f"unknown {section} {key} {kind!r}")
+    unknown = sorted(set(spec) - set(SPEC_KEYS[section, kind]))
+    if unknown:
+        raise ValueError(f"{section} {key} {kind!r} does not read the keys {unknown}")
+    return kind
+
 
 def build_dataset(spec: dict):
     """Returns (train, test_or_None) for a config dataset spec."""
-    kind = spec.get("kind", "synthetic")
-    if kind == "synthetic":
+    if _spec_kind(spec, "dataset", "kind", "synthetic") == "synthetic":
         patterns = generate_synthetic(count=spec.get("count", 30),
                                       dim=spec.get("dim", 100),
                                       seed=spec.get("seed", 0))
         return patterns, None
-    if kind == "mnist":
-        train, test = load_mnist(spec.get("directory"))
-        per_train = spec.get("per_class_train")
-        per_test = spec.get("per_class_test")
-        if per_train or per_test:
-            merged = ClassifierDataset(
-                inputs=np.concatenate([train.inputs, test.inputs]),
-                targets=np.concatenate([train.targets, test.targets]),
-                num_classes=10)
-            train, test = make_splits(merged, per_train or 6000, per_test or 1000,
-                                      seed=spec.get("seed", 0))
-        if spec.get("subsample"):
-            train = subsample(train, spec["subsample"], seed=spec.get("seed", 0))
-        return train, test
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    train, test = load_mnist(spec.get("directory"))
+    per_train = spec.get("per_class_train")
+    per_test = spec.get("per_class_test")
+    if per_train or per_test:
+        merged = ClassifierDataset(
+            inputs=np.concatenate([train.inputs, test.inputs]),
+            targets=np.concatenate([train.targets, test.targets]),
+            num_classes=10)
+        train, test = make_splits(merged, per_train or 6000, per_test or 1000,
+                                  seed=spec.get("seed", 0))
+    if spec.get("subsample"):
+        train = subsample(train, spec["subsample"], seed=spec.get("seed", 0))
+    return train, test
 
 
 def build_model(config: ExperimentConfig):
     """Returns (model, test_dataset_or_None)."""
+    kind = _spec_kind(config.model, "model", "kind", "perceptron")
     data, test = build_dataset(config.dataset)
-    kind = config.model.get("kind", "perceptron")
     if kind == "perceptron":
         if not isinstance(data, PatternSet):
             raise ValueError("perceptron model needs a pattern dataset")
         return PerceptronEnergy(data), None
-    if kind == "cross-entropy":
-        if not isinstance(data, ClassifierDataset):
-            raise ValueError("cross-entropy model needs a classifier dataset")
-        return CrossEntropyEnergy(data), test
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(data, ClassifierDataset):
+        raise ValueError("cross-entropy model needs a classifier dataset")
+    return CrossEntropyEnergy(data), test
 
 
 def build_schedule(spec: dict) -> AnnealSchedule:
-    mode = spec.get("mode", "exponential")
-    if mode == "exponential":
+    if _spec_kind(spec, "schedule", "mode", "exponential") == "exponential":
         return AnnealSchedule.exponential(
             beta_i=spec["beta_i"], beta_f=spec["beta_f"], it_max=int(spec["it_max"]),
             gamma=spec.get("gamma", 0.0), gamma_f=spec.get("gamma_f"))
-    if mode == "piecewise":
-        return AnnealSchedule.piecewise(spec["stages"])
-    raise ValueError(f"unknown schedule mode {mode!r}")
+    return AnnealSchedule.piecewise(spec["stages"])
 
 
 @dataclass
@@ -89,8 +104,7 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
     seed = config.seed if seed is None else seed
     model, test = build_model(config)
     schedule = build_schedule(config.schedule)
-    chain = Chain(model, config.replicas, schedule, kernel=config.kernel,
-                  rng=make_rng(seed))
+    chain = Chain(model, config.replicas, schedule, kernel=config.kernel, seed=seed)
     stats = chain.run()
     losses = [s.energy for s in chain.states]
     best = int(np.argmin(losses))
@@ -188,6 +202,8 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
               jobs: int = 1) -> list[SweepPoint]:
     """points: list of dicts of schedule/config overrides; seeds are derived
     from (base seed, point index, repetition) so order does not matter."""
+    if repetitions < 1:
+        raise ValueError(f"a sweep needs at least one repetition, got {repetitions}")
     tasks = []
     for p_idx, overrides in enumerate(points):
         doc = base.to_dict()

@@ -183,7 +183,7 @@ def suite_monte_carlo() -> dict:
     n, y, beta, gamma = 3, 2, 1.0, 1.0
     _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
     schedule = AnnealSchedule.exponential(beta, beta, steps, gamma=gamma)
-    chain = Chain(model, y, schedule, kernel="combined", rng=make_rng(7))
+    chain = Chain(model, y, schedule, kernel="combined", seed=7)
 
     def ensemble_index():
         # replica a's spin i is bit a*N + i, the ordering of exact.replica_states

@@ -14,7 +14,6 @@ from replica_anneal.annealer import (
     interaction_delta,
     log_cosh_stable,
     make_rng,
-    run,
     spawn_seed,
 )
 from replica_anneal.energies import (
@@ -166,26 +165,28 @@ def test_azencott_stage_lengths():
 
 def test_chain_determinism(two_state):
     sched = AnnealSchedule.exponential(0.5, 5.0, 2000)
-    c1, s1 = run(two_state, sched, y=2, seed=99)
-    c2, s2 = run(two_state, sched, y=2, seed=99)
+    c1, c2 = Chain(two_state, 2, sched, seed=99), Chain(two_state, 2, sched, seed=99)
+    s1, s2 = c1.run(), c2.run()
     assert s1.active_transitions == s2.active_transitions
     for r1, r2 in zip(c1.states, c2.states):
         assert np.array_equal(r1.w, r2.w)
     # the seed reaches the chain: these counts are pinned trajectories
-    _, s3 = run(two_state, sched, y=2, seed=100)
+    s3 = Chain(two_state, 2, sched, seed=100).run()
     assert (s1.active_transitions, s3.active_transitions) == (684, 752)
 
 
 def test_chain_counts_active_transitions(double_well2):
     sched = AnnealSchedule.exponential(0.1, 10.0, 3000)
-    chain, stats = run(double_well2, sched, y=2, seed=3)
+    chain = Chain(double_well2, 2, sched, seed=3)
+    stats = chain.run()
     assert 0 < stats.active_transitions <= stats.iterations == 3000
     assert chain.ensemble.check_fields()
 
 
 def test_chain_field_check_reads_the_states_spins(double_well2):
     sched = AnnealSchedule.exponential(0.1, 10.0, 300)
-    chain, _ = run(double_well2, sched, y=2, seed=3)
+    chain = Chain(double_well2, 2, sched, seed=3)
+    chain.run()
     assert chain.ensemble.check_fields()
     chain.states[0].w[0] *= -1  # behind the ensemble's back
     assert not chain.ensemble.check_fields()
@@ -193,7 +194,8 @@ def test_chain_field_check_reads_the_states_spins(double_well2):
 
 def test_chain_caches_agree_with_recompute(tiny_tabulated):
     sched = AnnealSchedule.exponential(0.2, 2.0, 1500, gamma=0.7)
-    chain, _ = run(tiny_tabulated, sched, y=2, kernel="two-stage", seed=17)
+    chain = Chain(tiny_tabulated, 2, sched, kernel="two-stage", seed=17)
+    chain.run()
     assert chain.states is chain.ensemble.states
     assert chain.ensemble.check_fields()
     for state in chain.states:
@@ -245,10 +247,7 @@ def test_draw_steps_match_scalar_draws(y, n, halves_before, k):
     assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
 
 
-def test_chain_and_draw_steps_need_a_philox_rng(two_state):
-    sched = AnnealSchedule.exponential(1.0, 1.0, 10)
-    with pytest.raises(TypeError):
-        Chain(two_state, 1, sched, rng=np.random.default_rng(0))
+def test_draw_steps_needs_a_philox_rng():
     with pytest.raises(TypeError):
         draw_steps(np.random.default_rng(0), 2, 3, 5)
 
@@ -261,15 +260,15 @@ def _pinned_chains():
     return {
         # y*N = 33 is odd: the block draws start with a half buffered
         "perceptron-combined": Chain(perceptron, 3, perceptron_sched, kernel="combined",
-                                     rng=make_rng(31)),
+                                     seed=31),
         "perceptron-two-stage": Chain(perceptron, 3, perceptron_sched, kernel="two-stage",
-                                      rng=make_rng(31)),
+                                      seed=31),
         "tabulated": Chain(fixtures.random_integer_energies(3, make_rng(5)), 2,
                            AnnealSchedule.exponential(0.2, 5.0, 5000, gamma=0.7),
-                           rng=make_rng(32)),
+                           seed=32),
         "cross-entropy": Chain(CrossEntropyEnergy(classifier), 2,
                                AnnealSchedule.exponential(0.5, 20.0, 5000, gamma=0.3),
-                               rng=make_rng(33)),
+                               seed=33),
     }
 
 

@@ -48,12 +48,21 @@ def test_train_rerun_identical_rows(tmp_path):
 
 
 def test_desk_scale_cap(tmp_path):
-    cfg = _write_config(tmp_path, schedule={"mode": "exponential", "beta_i": 0.1,
-                                            "beta_f": 100.0, "gamma": 0.0,
-                                            "it_max": 300_000})
+    for schedule in ({"mode": "exponential", "beta_i": 0.1, "beta_f": 100.0, "gamma": 0.0,
+                      "it_max": 300_000},
+                     {"mode": "piecewise", "stages": [[1.0, 0.0, 150_000]]}):
+        cfg = _write_config(tmp_path, schedule=schedule)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--config", str(cfg)])
+        assert "--full-scale" in str(err.value)
+
+
+@pytest.mark.parametrize("argv", [["train", "--jobs", "2"], ["robustness", "--out", "r.csv"]])
+def test_commands_refuse_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as err:
-        cli.main(["train", "--config", str(cfg)])
-    assert "--full-scale" in str(err.value)
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_and_kernel_overrides(tmp_path, capsys):

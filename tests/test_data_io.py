@@ -65,6 +65,15 @@ def test_parse_idx_truncated_names_counts():
     assert "5" in str(err.value) and "8" in str(err.value)
 
 
+def test_parse_idx_reads_dims_unsigned():
+    # dims (-1, -1, 1) signed are (2^32 - 1, 2^32 - 1, 1) unsigned: their
+    # signed product 1 would match the 1-byte payload
+    raw = struct.pack(">iiii", MAGIC_IMAGES, -1, -1, 1) + b"\x00"
+    with pytest.raises(TruncatedPayloadError) as err:
+        parse_idx(raw)
+    assert str((2**32 - 1) ** 2) in str(err.value)
+
+
 def test_idx_round_trip(tmp_path):
     images = np.arange(2 * 2 * 2, dtype=np.uint8).reshape(2, 2, 2)
     idx = parse_idx(_image_bytes(images))

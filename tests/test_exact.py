@@ -148,7 +148,7 @@ def test_elevation_double_well():
 
 def test_elevation_two_state_cancels():
     # E(+)=0, E(-)=h: H(+,-) = h cancels E(-) = h, so m = 0
-    model = fixtures.two_state(high=0.7)
+    model = TabulatedEnergy([0.7, 0.0], n=1)
     assert exact.compute_elevation_m(model, 1, 1) == pytest.approx(0.0)
 
 
@@ -227,8 +227,7 @@ def test_limit_distribution_gamma0_uniform_on_n0(cluster4):
 
 
 def test_classify_minima_cluster(cluster4):
-    report = exact.classify_minima(cluster4, 4)
-    by_index = {info.index: info for info in report.minima}
+    by_index = {info.index: info for info in exact.classify_minima(cluster4, 4)}
     center = fixtures.dense_center_index(4)
     assert by_index[center].counts[1] == 5  # (1,5)-dense
     iso = by_index[fixtures.isolated_index()]
@@ -237,13 +236,25 @@ def test_classify_minima_cluster(cluster4):
 
 
 def test_classify_minima_unique_minimum():
-    model = fixtures.two_state()
     table = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    report = exact.classify_minima(TabulatedEnergy(table, n=3), 3)
-    assert len(report.minima) == 1
-    assert report.minima[0].isolation_radius == 3
+    (info,) = exact.classify_minima(TabulatedEnergy(table, n=3), 3)
+    assert info.isolation_radius == 3
 
 
 def test_hamming_table():
     dist = exact.hamming_table(3, 0b111)
     assert dist.tolist() == [3, 2, 2, 1, 2, 1, 1, 0]
+    for n in range(1, 6):
+        for center in range(2**n):
+            expected = [bin(s ^ center).count("1") for s in range(2**n)]
+            assert exact.hamming_table(n, center).tolist() == expected
+
+
+@pytest.mark.parametrize("n, y", [(1, 1), (1, 5), (2, 3), (3, 2), (5, 1), (4, 3)])
+def test_fields_table_matches_per_ensemble_sums(n, y):
+    # replica a of ensemble s is configuration s >> (a*N), spin i its bit i
+    fields = exact.fields_table(n, y)
+    assert fields.dtype == np.int64 and fields.shape == (2 ** (n * y), n)
+    for s in range(2 ** (n * y)):
+        replicas = [TabulatedEnergy.config_of(s >> (a * n), n) for a in range(y)]
+        assert fields[s].tolist() == np.sum(replicas, axis=0).tolist()

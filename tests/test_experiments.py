@@ -37,6 +37,21 @@ def test_build_dataset_unknown_kind():
         build_dataset({"kind": "cifar"})
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_schedule({"mode": "exponential", "beta_i": 0.1, "beta_f": 10.0,
+                                         "gama": 0.8, "it_max": 100}),
+                 id="schedule-typo"),
+    pytest.param(lambda: sweep_gamma(_small_config(schedule={
+                     "mode": "piecewise", "stages": [(1.0, 0.0, 50)]}), [2.0], repetitions=1),
+                 id="gamma-sweep-over-piecewise"),
+    pytest.param(lambda: build_dataset({"kind": "synthetic", "count": 6, "dimm": 300}),
+                 id="dataset-typo"),
+])
+def test_config_specs_refuse_keys_they_do_not_read(build):
+    with pytest.raises(ValueError, match="does not read"):
+        build()
+
+
 def test_build_model_mismatch():
     cfg = _small_config(model={"kind": "cross-entropy"})
     with pytest.raises(ValueError):
@@ -116,6 +131,11 @@ def test_sweep_gamma_order_independent():
         assert [r.seed for r in p1.records] == [r.seed for r in p2.records]
     assert full[0].label == {"schedule": {"gamma": 0.0}}
     assert len(full[0].records) == 2
+
+
+def test_sweep_needs_a_repetition():
+    with pytest.raises(ValueError):
+        sweep_gamma(_small_config(), [0.0], repetitions=0)
 
 
 def test_sweep_gamma_distinct_seeds_per_repetition():
