@@ -151,13 +151,16 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_seed(base_seed: int, *indices: int) -> np.random.SeedSequence:
-    """Documented splitting rule: child entropy = [base_seed, *indices].
+def spawn_seed(base_seed, *indices: int) -> np.random.SeedSequence:
+    """Documented splitting rule: child entropy = [base_seed, *indices], or
+    [*base_seed, *indices] when the base is a list such as a sweep row's
+    [base, point, rep].
 
     Streams for different index tuples are independent, so sweep points may
     run in any order or in parallel and still reproduce bit-identically.
     """
-    return np.random.SeedSequence(entropy=[int(base_seed), *(int(i) for i in indices)])
+    prefix = [int(v) for v in base_seed] if np.ndim(base_seed) else [int(base_seed)]
+    return np.random.SeedSequence(entropy=[*prefix, *(int(i) for i in indices)])
 
 
 def _scalar_steps(rng, y: int, n: int, k: int, a: list, i: list, u: list):

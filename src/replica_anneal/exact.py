@@ -167,22 +167,84 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
     return k_mat
 
 
-def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray):
-    """(stationary vector, second largest eigenvalue, spectral gap psi).
+def replica_swap(n: int, y: int) -> np.ndarray:
+    """Index of each ensemble with replicas 0 and 1 exchanged (an involution).
 
-    Requires the kernel reversible w.r.t. qbar; the spectrum is computed on
-    the symmetrized kernel D^{1/2} K D^{-1/2}, which is exact by reversibility.
+    The total energy and the fields sum_a sigma_i^a are symmetric in the
+    replicas, so qbar and both kernels are invariant under this permutation.
     """
-    flux = qbar[:, None] * matrix
-    asym = np.abs(flux - flux.T).max()
+    if y < 2:
+        raise ValueError("replica_swap needs y >= 2")
+    idx = np.arange(2 ** (n * y), dtype=np.int64)
+    mask = (1 << n) - 1
+    low, high = idx & mask, (idx >> n) & mask
+    return idx ^ low ^ high ^ (low << n) ^ (high << n)
+
+
+def _detailed_balance_error(matrix: np.ndarray, qbar: np.ndarray) -> float:
+    """max |qbar_i K_ij - qbar_j K_ji|, tile by tile so that the transposed
+    read stays in cache."""
+    tile = 128
+    worst = 0.0
+    for i in range(0, qbar.size, tile):
+        for j in range(0, i + 1, tile):
+            flux = qbar[i:i + tile, None] * matrix[i:i + tile, j:j + tile]
+            back = qbar[j:j + tile, None] * matrix[j:j + tile, i:i + tile]
+            worst = max(worst, float(np.abs(flux - back.T).max()))
+    return worst
+
+
+def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | None = None):
+    """(stationary vector, 1 - psi, spectral gap psi).
+
+    Requires the kernel reversible w.r.t. qbar. psi is the second smallest
+    eigenvalue of the symmetrised Laplacian D^{1/2} (I - K) D^{-1/2}, whose
+    diagonal is the escape rate sum_{j != i} K_ij, so small gaps do not cancel
+    in 1 - lambda_2.
+
+    `swap` is an involution of the states that leaves the kernel invariant
+    (`replica_swap`); None is the identity. The Laplacian commutes with it and
+    splits into an even block, on the fixed states f and the sums
+    (e_r + e_{Pr})/sqrt 2, and an odd block, on the differences
+    (e_r - e_{Pr})/sqrt 2, each about half the size; psi is the second
+    smallest of their spectra together.
+    """
+    asym = _detailed_balance_error(matrix, qbar)
     if asym > REVERSIBILITY_TOL:
         raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
-    sq = np.sqrt(qbar)
-    sym = (sq[:, None] * matrix) / sq[None, :]
-    lam1 = float(np.linalg.eigvalsh(sym)[-2])  # eigenvalues come in ascending order
-    psi = 1.0 - lam1
+    idx = np.arange(qbar.size)
+    swap = idx if swap is None else swap
+    fixed = np.flatnonzero(swap == idx)
+    pairs = np.flatnonzero(idx < swap)
+    nf, nr = fixed.size, pairs.size
+    h = nf + nr
+    # the kernel with rows and columns in the order fixed, pairs, partners
+    order = np.concatenate([fixed, pairs, swap[pairs]])
+    g = matrix.take(order, axis=0).take(order, axis=1)
+    f, r, p = slice(0, nf), slice(nf, h), slice(h, None)
+    if nr:
+        asym = max(float(np.abs(g[a, b] - g[c, d]).max())
+                   for a, b, c, d in ((r, r, p, p), (r, p, p, r), (f, r, f, p), (r, f, p, f)))
+        if asym > REVERSIBILITY_TOL:
+            raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
+    # rows f and r of the Laplacian: -sqrt(q_i) K_ij / sqrt(q_j) off the diagonal
+    lap = g[:h]
+    np.fill_diagonal(lap, 0.0)
+    escape = lap.sum(axis=1)
+    sq = np.sqrt(qbar[order])
+    lap *= -sq[:h, None]
+    lap /= sq
+    np.fill_diagonal(lap, escape)
+    even = lap[:, :h].copy()
+    even[f, r] *= math.sqrt(2.0)
+    even[r, f] *= math.sqrt(2.0)
+    even[r, r] += lap[r, p]
+    low = [np.linalg.eigvalsh(even)[:2]]  # eigenvalues come in ascending order
+    if nr:
+        low.append(np.linalg.eigvalsh(lap[r, r] - lap[r, p])[:1])
+    psi = float(np.sort(np.concatenate(low))[1])
     stationary = qbar @ matrix
-    return stationary, lam1, psi
+    return stationary, 1.0 - psi, psi
 
 
 class _UnionFind:
@@ -273,11 +335,12 @@ def compute_constants(model, n: int, y: int, gamma: float,
             kappa1 = max(kappa1, np.abs(cur - prev).max() * math.exp(b1 * b_const))
 
     # compute_elevation_m has already checked N*y <= MAX_NY_KERNEL
+    swap = replica_swap(n, y) if y >= 2 else None
     psi_values = []
     scaled = []
     for beta, qbar in zip(BETA_GRID, qbars):
         k_mat = build_kernel_matrix(model, n, y, beta, gamma, kernel)
-        _, _, psi = stationary_and_gap(k_mat, qbar)
+        _, _, psi = stationary_and_gap(k_mat, qbar, swap)
         psi_values.append((float(beta), float(psi)))
         scaled.append(psi * math.exp(beta * m))
     return ConvergenceConstants(B=b_const, Bprime=float(b_prime), m=float(m),

@@ -115,12 +115,14 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
         test_model = CrossEntropyEnergy(test)
         test_loss = test_model.energy(best_w) / test.n
         test_acc = test_model.accuracy(best_w)
-    sched = config.schedule
+    if schedule.mode == "piecewise":
+        (beta_i, gamma, _), (beta_f, _, _) = schedule.stages[0], schedule.stages[-1]
+    else:
+        beta_i, beta_f, gamma = schedule.beta_i, schedule.beta_f, schedule.gamma_i
     record = ResultRecord(
         run_id=run_id, config_hash=config.hash(),
         seed=int(seed) if np.isscalar(seed) else [int(v) for v in seed],
-        gamma=float(sched.get("gamma", 0.0)),
-        beta_i=float(sched.get("beta_i", 0.0)), beta_f=float(sched.get("beta_f", 0.0)),
+        gamma=float(gamma), beta_i=float(beta_i), beta_f=float(beta_f),
         replicas=config.replicas,
         train_loss=float(losses[best]), train_accuracy=float(accs[best]),
         test_loss=test_loss, test_accuracy=test_acc,
@@ -139,7 +141,7 @@ class RobustnessPoint:
 
 
 def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 1000,
-                    seed: int = 0) -> list[RobustnessPoint]:
+                    seed: int | list[int] = 0) -> list[RobustnessPoint]:
     """Accuracy after flipping exactly round(p*N) distinct random coordinates,
     averaged over repetitions with a normal-approximation 95% CI."""
     n = weights.size

@@ -80,13 +80,14 @@ def suite_gap_scaling() -> dict:
     model = fixtures.double_well(2)
     n, y, gamma = 2, 2, 0.5
     m = exact.compute_elevation_m(model, n, y)
+    swap = exact.replica_swap(n, y)
     betas = np.arange(5.0, 15.5, 1.0)
     logs = []
     scaled = []
     for beta in betas:
         _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
         k_mat = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
-        _, _, psi = exact.stationary_and_gap(k_mat, qbar)
+        _, _, psi = exact.stationary_and_gap(k_mat, qbar, swap)
         logs.append(-math.log(psi))
         scaled.append(psi * math.exp(beta * m))
     slope = float(np.polyfit(betas, logs, 1)[0])

@@ -219,6 +219,12 @@ def test_spawn_seed_independent_streams():
     assert not np.array_equal(a, b)
 
 
+def test_spawn_seed_takes_a_list_base_as_entropy_prefix():
+    assert spawn_seed(3, 1).entropy == [3, 1]
+    assert spawn_seed([0, 1, 1], 2).entropy == [0, 1, 1, 2]
+    assert spawn_seed(np.int64(3)).entropy == [3]
+
+
 def test_make_rng_reproducible():
     assert make_rng(7).random(4).tolist() == make_rng(7).random(4).tolist()
 

@@ -111,6 +111,15 @@ def test_robustness_prints_curve(tmp_path, capsys):
     assert lines[0]["ci_half_width"] == 0.0
 
 
+def test_robustness_takes_a_sweep_row_seed(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    code = cli.main(["robustness", "--config", str(cfg), "--seed", "0/1/1", "--p", "0.1",
+                     "--repetitions", "20"])
+    assert code == 0
+    (doc,) = [json.loads(ln) for ln in capsys.readouterr().out.strip().splitlines()]
+    assert doc["p"] == 0.1 and 0.0 <= doc["mean_accuracy"] <= 1.0
+
+
 def test_exact_verify_selected_suites(capsys):
     code = cli.main(["exact-verify", "--suite", "enumeration", "detailed-balance"])
     assert code == 0

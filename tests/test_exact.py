@@ -135,6 +135,113 @@ def test_stationary_and_gap_rejects_nonreversible():
         exact.stationary_and_gap(k, qbar)
 
 
+def test_replica_swap_is_an_involution_fixing_the_aligned_ensembles():
+    for n, y in [(1, 2), (3, 2), (2, 3), (1, 4), (2, 4)]:
+        swap = exact.replica_swap(n, y)
+        idx = np.arange(2 ** (n * y))
+        assert np.array_equal(swap[swap], idx)
+        assert np.count_nonzero(swap == idx) == 2 ** (n * y) // 2**n
+        states = exact.replica_states(n, y)
+        assert np.array_equal(states[swap], states[:, [1, 0, *range(2, y)]])
+
+
+@pytest.mark.parametrize("kernel", ["two-stage", "combined"])
+def test_kernel_off_diagonal_is_exactly_swap_invariant(kernel):
+    for n, y in [(3, 2), (2, 3), (2, 4)]:
+        model = fixtures.random_integer_energies(n, make_rng(n * y))
+        k = exact.build_kernel_matrix(model, n, y, 1.3, 0.8, kernel)
+        swap = exact.replica_swap(n, y)
+        off = ~np.eye(k.shape[0], dtype=bool)
+        assert np.array_equal(k[np.ix_(swap, swap)][off], k[off])
+
+
+@pytest.mark.parametrize("n,y", [(1, 2), (4, 2), (3, 3), (2, 4)])
+def test_split_gap_equals_unsplit_gap(n, y):
+    """The even and odd blocks of the replica exchange give the gap of the
+    whole Laplacian, for both kernels, at infinite, moderate and low temperature."""
+    model = fixtures.random_integer_energies(n, make_rng(100 + n * y))
+    swap = exact.replica_swap(n, y)
+    for kernel in ("two-stage", "combined"):
+        for beta in (0.0, 2.0, 15.0):
+            _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, 0.5)
+            k = exact.build_kernel_matrix(model, n, y, beta, 0.5, kernel)
+            _, _, psi_full = exact.stationary_and_gap(k, qbar)
+            _, _, psi_split = exact.stationary_and_gap(k, qbar, swap)
+            assert abs(psi_split - psi_full) <= 1e-13
+
+
+def test_gap_held_by_the_odd_block():
+    """N=1, y=2 under the uniform law: the mixed ensembles 1 and 2 are sticky,
+    so the slowest mode is e_1 - e_2, which only the odd block holds. Its rate
+    is the escape 2 eps + delta plus the direct move delta; the even block's
+    slowest nonzero mode decays at 4 eps."""
+    eps, delta, both = 0.01, 0.002, 0.4
+    k = np.array([[1 - both - 2 * eps, eps, eps, both],
+                  [eps, 1 - 2 * eps - delta, delta, eps],
+                  [eps, delta, 1 - 2 * eps - delta, eps],
+                  [both, eps, eps, 1 - both - 2 * eps]])
+    qbar = np.full(4, 0.25)
+    for swap in (None, exact.replica_swap(1, 2)):
+        _, _, psi = exact.stationary_and_gap(k, qbar, swap)
+        assert psi == pytest.approx(2 * eps + 2 * delta, abs=1e-15)
+
+
+def test_stationary_and_gap_rejects_a_kernel_the_swap_changes():
+    model, n, y = fixtures.double_well(2), 2, 2
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, 1.0, 0.5)
+    k = exact.build_kernel_matrix(model, n, y, 1.0, 0.5)
+    # flip of replica 0's first spin, reweighted in both directions: still in
+    # detailed balance and stochastic, but its swap image (replica 1) is not
+    eps = 1e-3
+    back = eps * qbar[0] / qbar[1]
+    k[0, 1] += eps
+    k[0, 0] -= eps
+    k[1, 0] += back
+    k[1, 1] -= back
+    exact.stationary_and_gap(k, qbar)
+    with pytest.raises(exact.NonReversibleError, match="swap"):
+        exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
+
+
+def _reference_gap(model, n, y, beta, gamma, mp):
+    """psi of the two-stage kernel in mp.dps digits: the second smallest
+    eigenvalue of the symmetrised Laplacian, built from the energies."""
+    energy = exact.energy_table_of(model, n)
+    tot = exact.total_energy_table(energy, n, y)
+    fields = exact.fields_table(n, y)
+    size = 2 ** (n * y)
+    beta, gamma = mp.mpf(beta), mp.mpf(gamma)
+
+    def log_cosh(f):
+        return mp.log(mp.cosh(gamma * int(f)))
+
+    log_w = [-beta * mp.mpf(tot[s]) + sum(log_cosh(f) for f in fields[s]) for s in range(size)]
+    lap = mp.zeros(size, size)
+    for s in range(size):
+        for bit in range(n * y):
+            t, i = s ^ (1 << bit), bit % n
+            d_e = mp.mpf(tot[t] - tot[s])
+            d_h = log_cosh(fields[t, i]) - log_cosh(fields[s, i])
+            k_st = mp.exp(min(d_h, 0)) * mp.exp(-beta * max(d_e, 0)) / (n * y)
+            lap[s, t] = -mp.exp((log_w[s] - log_w[t]) / 2) * k_st
+            lap[s, s] += k_st
+    return sorted(mp.eigsy(lap, eigvals_only=True))[1]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_gap_matches_a_50_digit_reference(split):
+    """Criterion 4's instance at beta = 20, where psi ~ 5e-10 and 1 - lambda_2
+    loses all but about six digits."""
+    mpmath = pytest.importorskip("mpmath")
+    model, n, y, beta, gamma = fixtures.double_well(2), 2, 2, 20.0, 0.5
+    with mpmath.workdps(50):
+        ref = _reference_gap(model, n, y, beta, gamma, mpmath.mp)
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
+    k = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
+    _, _, psi = exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y) if split else None)
+    assert float(abs(psi - ref) / ref) <= 1e-7
+
+
 def test_elevation_flat_landscape_is_zero():
     model = TabulatedEnergy(np.zeros(8), n=3)
     assert exact.compute_elevation_m(model, 3, 1) == 0.0

@@ -52,6 +52,16 @@ def test_config_specs_refuse_keys_they_do_not_read(build):
         build()
 
 
+def test_piecewise_row_reports_its_stages():
+    """A piecewise row's gamma and beta_i are the first stage's and beta_f is
+    the last stage's; exponential rows keep their spec values."""
+    stages = [[0.5, 0.3, 500], [5.0, 0.3, 500]]
+    rec = train_run(_small_config(schedule={"mode": "piecewise", "stages": stages})).record
+    assert (rec.gamma, rec.beta_i, rec.beta_f, rec.iterations) == (0.3, 0.5, 5.0, 1000)
+    rec = train_run(_small_config()).record
+    assert (rec.gamma, rec.beta_i, rec.beta_f) == (0.0, 0.1, 100.0)
+
+
 def test_build_model_mismatch():
     cfg = _small_config(model={"kind": "cross-entropy"})
     with pytest.raises(ValueError):
