@@ -76,6 +76,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.mode not in ("exponential", "piecewise"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
+        if self.it_max < 0:
+            raise ValueError(f"it_max must be >= 0, got {self.it_max}")
         if self.mode == "exponential":
             gammas = [self.gamma_i] + ([] if self.gamma_f is None else [self.gamma_f])
             _check_values([self.beta_i, self.beta_f], gammas)
@@ -87,13 +89,15 @@ class AnnealSchedule:
             if not self.stages:
                 raise ValueError("piecewise mode needs stages")
             _check_values([s[0] for s in self.stages], [s[1] for s in self.stages])
+            lengths = [int(s[2]) for s in self.stages]
+            if min(lengths) < 1:
+                raise ValueError("stage lengths must be >= 1")
             betas = [s[0] for s in self.stages]
             if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
                 raise ValueError("stage betas must be nondecreasing")
-            total = sum(int(s[2]) for s in self.stages)
-            if total != self.it_max:
-                raise ValueError(f"sum of stage lengths {total} != it_max {self.it_max}")
-            self._stage_bounds = np.cumsum([int(s[2]) for s in self.stages])
+            if sum(lengths) != self.it_max:
+                raise ValueError(f"sum of stage lengths {sum(lengths)} != it_max {self.it_max}")
+            self._stage_bounds = np.cumsum(lengths)
 
     @classmethod
     def exponential(cls, beta_i, beta_f, it_max, gamma=0.0, gamma_f=None):
@@ -147,8 +151,8 @@ class RunStats:
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Version-pinned chain generator: counter-based Philox keyed by the seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Version-pinned generator: Philox keyed by SeedSequence(seed), or by a SeedSequence."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def spawn_seed(base_seed, *indices: int) -> np.random.SeedSequence:
@@ -163,71 +167,64 @@ def spawn_seed(base_seed, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[*prefix, *(int(i) for i in indices)])
 
 
-def _scalar_steps(rng, y: int, n: int, k: int, a: list, i: list, u: list):
-    for _ in range(k):
-        a.append(int(rng.integers(y)))
-        i.append(int(rng.integers(n)))
-        u.append(rng.random())
-
-
 def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
     """(a, i, u) lists equal to k rounds of rng.integers(y), rng.integers(n),
     rng.random(), bit for bit, leaving rng in the state those calls leave.
 
     numpy's rules for a Philox Generator: integers(r), 1 < r < 2^32, maps a
     32-bit half x to (x r) >> 32 and draws again while (x r) mod 2^32 is below
-    (2^32 - r) mod r (Lemire); a half is the low half of a fresh 64-bit word,
-    whose high half is buffered for the next one (state "has_uint32" and
-    "uinteger"); random() is (word >> 11) 2^-53 of a fresh word and leaves the
-    buffer alone; integers(1) draws nothing. So a step takes two words: with
-    the buffer empty a and i are the halves of the first and u is the second;
-    with a half buffered, a is that half, i the low half of the first word,
-    and the first word's high half is buffered for the next step.
+    (2^32 - r) mod r (Lemire), and integers(1) draws nothing. A half is the
+    buffered one (state "has_uint32", "uinteger") if any, else the low half of
+    a fresh 64-bit word whose high half is buffered. random() is
+    (word >> 11) 2^-53 of a fresh word.
 
-    The block takes 2k words in one random_raw call. A step that would draw
+    So with m the number of ranges above 1 and b0 the buffer flag at the start
+    of a block, step s's uniform is word ((s+1) m + 1 - b0) // 2 + s of the
+    block. The other words' halves, low then high, follow the buffered half
+    (if b0); step s takes halves[s m:(s+1) m], and after j steps the buffer
+    holds halves[j m] exactly when b0 + 2 ((j m + 1 - b0) // 2) > j m.
+
+    The block takes its words in one random_raw call. A step that would draw
     again (about 1e-8 per draw for ranges near 10) ends the block: the state
-    is restored, moved past the steps before it, and that step is drawn with
-    scalar calls. y = 1 or n = 1 are drawn with scalar calls throughout.
+    is restored, moved past the steps before it, and that step alone is drawn
+    with scalar calls.
     """
     bit_generator = getattr(rng, "bit_generator", None)
     if not isinstance(bit_generator, np.random.Philox):
         raise TypeError("draw_steps needs a numpy Generator over Philox (see make_rng)")
     assert 1 <= y < 2**32 and 1 <= n < 2**32, "ranges must lie in [1, 2^32)"
+    m = (y > 1) + (n > 1)
+    redraw_below = [(2**32 - r) % r for r in (y, n)]
     a, i, u = [], [], []
-    if y == 1 or n == 1:
-        _scalar_steps(rng, y, n, k, a, i, u)
-        return a, i, u
-    redraw_y, redraw_n = (2**32 - y) % y, (2**32 - n) % n
     while k > 0:
         state = bit_generator.state
-        buffered = state["has_uint32"]
-        words = bit_generator.random_raw(2 * k)
-        halves, uniforms = words[0::2], words[1::2]
-        if buffered:
-            half_a = np.empty(k, dtype=np.uint64)
-            half_a[0] = state["uinteger"]
-            half_a[1:] = halves[:-1] >> 32
-            half_i = halves & _LOW32
-        else:
-            half_a, half_i = halves & _LOW32, halves >> 32
-        scaled_a, scaled_i = half_a * np.uint64(y), half_i * np.uint64(n)
-        redraw = np.flatnonzero(((scaled_a & _LOW32) < redraw_y)
-                                | ((scaled_i & _LOW32) < redraw_n))
+        b0 = state["has_uint32"]
+        steps = np.arange(k)
+        uniform_at = ((steps + 1) * m + 1 - b0) // 2 + steps
+        words = bit_generator.random_raw(int(uniform_at[-1]) + 1)
+        # word 0 stands for the last half-word drawn before: its high half is the buffer
+        half_words = np.insert(np.delete(words, uniform_at), 0, state["uinteger"] << 32)
+        halves = half_words.astype("<u8").view("<u4")[2 - b0:]  # low, then high halves
+        columns = iter(halves[:k * m].reshape(k, m).T)
+        scaled_a, scaled_i = [next(columns) * np.uint64(r) if r > 1
+                              else np.zeros(k, dtype=np.uint64) for r in (y, n)]
+        redraw = np.flatnonzero(((scaled_a & _LOW32) < redraw_below[0])
+                                | ((scaled_i & _LOW32) < redraw_below[1]))
         j = int(redraw[0]) if redraw.size else k
         a += (scaled_a[:j] >> 32).tolist()
         i += (scaled_i[:j] >> 32).tolist()
-        u += ((uniforms[:j] >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        u += ((words[uniform_at[:j]] >> 11) * (1.0 / 9007199254740992.0)).tolist()
+        used = (j * m + 1 - b0) // 2  # half-words taken by the first j steps
         if j < k:
             bit_generator.state = state
-            bit_generator.random_raw(2 * j)
-        if buffered and j > 0:
-            # step j-1's coordinate left its word's high half in the buffer
-            state = bit_generator.state
-            state["uinteger"] = int(halves[j - 1] >> 32)
-            bit_generator.state = state
+            bit_generator.random_raw(used + j)
+        bit_generator.state = {**bit_generator.state, "has_uint32": int(b0 + 2 * used > j * m),
+                               "uinteger": int(half_words[used] >> 32)}
         k -= j
         if k:  # step j draws again
-            _scalar_steps(rng, y, n, 1, a, i, u)
+            a.append(int(rng.integers(y)))
+            i.append(int(rng.integers(n)))
+            u.append(rng.random())
             k -= 1
     return a, i, u
 

@@ -87,7 +87,7 @@ def cmd_exact_verify(args) -> int:
 
 def cmd_validate_schedule(args) -> int:
     if args.azencott:
-        stages = [(math.log(k + 1), 2 * (k + 1)) for k in range(1, args.horizon + 1)]
+        stages = verify.azencott_stages(args.horizon)
     elif args.stages_file:
         doc = json.loads(open(args.stages_file).read())
         stages = [(float(b), float(t)) for b, t in doc]

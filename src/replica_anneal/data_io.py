@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .annealer import make_rng
 from .energies import ClassifierDataset
 
 MAGIC_IMAGES = 2051
@@ -129,7 +130,7 @@ def load_mnist(directory=None) -> tuple[ClassifierDataset, ClassifierDataset]:
 def make_splits(dataset: ClassifierDataset, per_class_train: int, per_class_test: int,
                 seed: int = 0):
     """Disjoint per-class-balanced (train, test) splits, deterministic per seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     train_idx, test_idx = [], []
     for cls in range(dataset.num_classes):
         members = np.flatnonzero(dataset.targets == cls)
@@ -152,8 +153,7 @@ def subsample(dataset: ClassifierDataset, count: int, seed: int = 0) -> Classifi
     """Uniform subsample to a target size, deterministic per seed."""
     if count > dataset.n:
         raise ValueError(f"cannot subsample {count} from {dataset.n}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    idx = np.sort(rng.choice(dataset.n, size=count, replace=False))
+    idx = np.sort(make_rng(seed).choice(dataset.n, size=count, replace=False))
     return ClassifierDataset(inputs=dataset.inputs[idx], targets=dataset.targets[idx],
                              num_classes=dataset.num_classes)
 
@@ -199,14 +199,6 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-RESULT_COLUMNS = [
-    "run_id", "config_hash", "seed", "gamma", "beta_i", "beta_f", "replicas",
-    "train_loss", "train_accuracy", "test_loss", "test_accuracy",
-    "mean_train_loss", "mean_train_accuracy",
-    "active_transitions", "iterations", "timestamp",
-]
-
-
 @dataclass
 class ResultRecord:
     run_id: str
@@ -225,6 +217,9 @@ class ResultRecord:
     active_transitions: int
     iterations: int
     timestamp: str = ""
+
+
+RESULT_COLUMNS = [f.name for f in dataclasses.fields(ResultRecord)]
 
 
 def _fmt(value):
@@ -266,26 +261,21 @@ def _parse_seed(text: str):
     return [int(v) for v in text.split("/")] if "/" in text else int(text)
 
 
+# a CSV column's parser, float where not listed; the optional columns read "" as None
+_PARSERS = {"run_id": str, "config_hash": str, "seed": _parse_seed, "replicas": int,
+            "active_transitions": int, "iterations": int, "timestamp": str}
+_OPTIONAL = ("test_loss", "test_accuracy", "mean_train_loss", "mean_train_accuracy")
+
+
 def read_results(path, fmt: str = "csv"):
     path = Path(path)
     records = []
     if fmt == "csv":
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                records.append(ResultRecord(
-                    run_id=row["run_id"], config_hash=row["config_hash"],
-                    seed=_parse_seed(row["seed"]), gamma=float(row["gamma"]),
-                    beta_i=float(row["beta_i"]), beta_f=float(row["beta_f"]),
-                    replicas=int(row["replicas"]),
-                    train_loss=float(row["train_loss"]),
-                    train_accuracy=float(row["train_accuracy"]),
-                    test_loss=float(row["test_loss"]) if row["test_loss"] else None,
-                    test_accuracy=float(row["test_accuracy"]) if row["test_accuracy"] else None,
-                    mean_train_loss=float(row["mean_train_loss"]) if row["mean_train_loss"] else None,
-                    mean_train_accuracy=float(row["mean_train_accuracy"]) if row["mean_train_accuracy"] else None,
-                    active_transitions=int(row["active_transitions"]),
-                    iterations=int(row["iterations"]),
-                    timestamp=row["timestamp"]))
+                records.append(ResultRecord(**{
+                    col: None if col in _OPTIONAL and not text else _PARSERS.get(col, float)(text)
+                    for col, text in row.items()}))
     elif fmt == "jsonl":
         with open(path) as fh:
             for line in fh:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .annealer import make_rng
 from .spins import as_spins
 
 
@@ -61,7 +62,7 @@ class PatternSet:
 
 def generate_synthetic(count: int = 30, dim: int = 100, seed: int = 0) -> PatternSet:
     """Uniform random patterns with uniform +-1 labels, deterministic per seed."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     patterns = rng.integers(0, 2, size=(count, dim)).astype(np.int8) * 2 - 1
     labels = rng.integers(0, 2, size=count).astype(np.int8) * 2 - 1
     return PatternSet(patterns, labels)

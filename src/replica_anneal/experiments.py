@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annealer import AnnealSchedule, Chain, spawn_seed
+from .annealer import AnnealSchedule, Chain, make_rng, spawn_seed
 from .data_io import ExperimentConfig, ResultRecord, load_mnist, make_splits, subsample
 from .energies import (
     ClassifierDataset,
@@ -144,6 +144,8 @@ def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 100
                     seed: int | list[int] = 0) -> list[RobustnessPoint]:
     """Accuracy after flipping exactly round(p*N) distinct random coordinates,
     averaged over repetitions with a normal-approximation 95% CI."""
+    if repetitions < 1:
+        raise ValueError(f"a robustness curve needs at least one repetition, got {repetitions}")
     n = weights.size
     curve = []
     for p_idx, p in enumerate(p_values):
@@ -153,7 +155,7 @@ def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 100
                                          mean_accuracy=float(model.accuracy(weights)),
                                          ci_half_width=0.0))
             continue
-        rng = np.random.Generator(np.random.Philox(spawn_seed(seed, p_idx)))
+        rng = make_rng(spawn_seed(seed, p_idx))
         accs = np.empty(repetitions)
         for r in range(repetitions):
             w = weights.copy()
@@ -204,8 +206,8 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
               jobs: int = 1) -> list[SweepPoint]:
     """points: list of dicts of schedule/config overrides; seeds are derived
     from (base seed, point index, repetition) so order does not matter."""
-    if repetitions < 1:
-        raise ValueError(f"a sweep needs at least one repetition, got {repetitions}")
+    if repetitions < 1 or jobs < 1:
+        raise ValueError(f"a sweep needs a repetition and a job, got {repetitions} and {jobs}")
     tasks = []
     for p_idx, overrides in enumerate(points):
         doc = base.to_dict()

@@ -162,10 +162,19 @@ def suite_dense_region() -> dict:
                    full_ball_mass=full_ball_mass)
 
 
+def azencott_stages(horizon: int) -> list[tuple[float, int]]:
+    """(beta_k, T_k) for k = 1..horizon: beta_k = log(k+1) with the Azencott
+    lengths for m = 1, kappa1 = e, C = b = 1, which are T_k = 2(k+1)."""
+    schedule = AnnealSchedule.azencott_stages(
+        [math.log(k + 1) for k in range(1, horizon + 1)], m=1.0, kappa1=math.e,
+        c_const=1.0, b_const=1.0)
+    return [(beta, t) for beta, _, t in schedule.stages]
+
+
 def suite_schedules() -> dict:
     """Azencott stages PASS and harmonic stages FAIL over a 1e4-stage horizon."""
     horizon = 10_000
-    good = [(math.log(k + 1), 2 * (k + 1)) for k in range(1, horizon + 1)]
+    good = azencott_stages(horizon)
     bad = [(math.log(k), 1) for k in range(1, horizon + 1)]
     v_good = exact.validate_schedule(good, m=1.0, kappa1=math.e)
     v_bad = exact.validate_schedule(bad, m=1.0, kappa1=math.e)

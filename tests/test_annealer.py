@@ -148,10 +148,20 @@ def test_schedule_validation_errors():
                  id="negative-stage-gamma"),
     pytest.param(lambda: AnnealSchedule.piecewise([(1.0, math.inf, 3)]),
                  id="infinite-stage-gamma"),
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, -3), id="negative-it-max"),
+    pytest.param(lambda: AnnealSchedule.piecewise([(1.0, 0.0, 10), (2.0, 0.0, -5)]),
+                 id="negative-stage-length"),
+    pytest.param(lambda: AnnealSchedule.piecewise([(1.0, 0.0, 10), (2.0, 0.0, 0)]),
+                 id="zero-stage-length"),
 ])
 def test_schedule_rejects_invalid_values_at_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_zero_step_schedule_is_valid(two_state):
+    sched = AnnealSchedule.exponential(0.1, 10.0, 0)
+    assert Chain(two_state, 2, sched, seed=1).run().iterations == 0
 
 
 def test_azencott_stage_lengths():
@@ -240,8 +250,8 @@ def _scalar_steps(rng, y, n, k):
 
 @pytest.mark.parametrize("k", [1, 7, 4000])
 @pytest.mark.parametrize("halves_before", [0, 1, 15])
-@pytest.mark.parametrize("y, n", [(10, 100), (3, 7840), (1, 25), (4, 1),
-                                  (2**31 + 1, 3 * 2**30)])
+@pytest.mark.parametrize("y, n", [(10, 100), (3, 7840), (1, 25), (4, 1), (1, 1),
+                                  (1, 2**31 + 1), (2**31 + 1, 1), (2**31 + 1, 3 * 2**30)])
 def test_draw_steps_match_scalar_draws(y, n, halves_before, k):
     # an odd number of halves drawn before leaves one buffered in the generator;
     # 2^31 + 1 and 3 * 2^30 redraw about 50% and 25% of their draws
@@ -250,6 +260,15 @@ def test_draw_steps_match_scalar_draws(y, n, halves_before, k):
         gen.integers(0, 2, size=halves_before)
     assert draw_steps(block, y, n, k) == _scalar_steps(scalar, y, n, k)
     assert block.integers(1000, size=3).tolist() == scalar.integers(1000, size=3).tolist()
+    assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("y, n", [(10, 100), (1, 25), (4, 1), (1, 1), (2**31 + 1, 3 * 2**30)])
+def test_chained_draw_blocks_match_scalar_draws(y, n):
+    # blocks of odd and even length move the buffered half in and out
+    block, scalar = make_rng(12), make_rng(12)
+    for k in (1, 2, 3, 50, 9, 4000, 5):
+        assert draw_steps(block, y, n, k) == _scalar_steps(scalar, y, n, k)
     assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
 
 
@@ -275,6 +294,12 @@ def _pinned_chains():
         "cross-entropy": Chain(CrossEntropyEnergy(classifier), 2,
                                AnnealSchedule.exponential(0.5, 20.0, 5000, gamma=0.3),
                                seed=33),
+        # y*N = 11 and 3 are odd as well, and a step draws one half: y = 1 draws
+        # no replica and N = 1 no coordinate
+        "perceptron-one-replica": Chain(perceptron, 1, perceptron_sched, seed=34),
+        "tabulated-one-spin": Chain(fixtures.two_state(), 3,
+                                    AnnealSchedule.exponential(0.2, 5.0, 5000, gamma=0.7),
+                                    seed=35),
     }
 
 
@@ -286,6 +311,8 @@ PINNED_TRAJECTORIES = {
     "tabulated": (884, "3053b491c2ed31eb", [0.0, 0.0], 0.41916977666855615),
     "cross-entropy": (594, "c6544aa8b5a3d5b3", [23.808499838970974, 24.92688341306466],
                       0.5053402987082218),
+    "perceptron-one-replica": (3148, "3ad30f3de3d58ccf", [3.0], 0.6208560316548304),
+    "tabulated-one-spin": (1484, "75c8fd04ad916aec", [0.0, 0.0, 0.0], 0.5007689804190346),
 }
 
 

@@ -180,10 +180,8 @@ def test_results_round_trip(tmp_path, fmt):
     path = tmp_path / f"out.{fmt}"
     write_results([_record(), _record("r1", test=0.5)], path, fmt=fmt)
     back = read_results(path, fmt=fmt)
-    assert [r.run_id for r in back] == ["r0", "r1"]
+    assert back == [_record(), _record("r1", test=0.5)]
     assert back[0].test_loss is None
-    assert back[1].test_accuracy == 0.5
-    assert back[0].train_loss == 1.25
 
 
 def test_results_append_safe(tmp_path):

@@ -152,6 +152,20 @@ def test_cross_entropy_cache_drift_bounded(rng):
     assert abs(state.energy - model.energy(state.w)) <= 1e-9
 
 
+def test_cross_entropy_refresh_recomputes_the_cache(monkeypatch, rng):
+    monkeypatch.setattr(CrossEntropyEnergy, "REFRESH_EVERY", 7)
+    model = CrossEntropyEnergy(_toy_classifier(seed=9))
+    state = model.make_state(rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1)
+    for flips in range(1, 22):
+        state.apply_flip(int(rng.integers(model.n_spins)))
+        if flips % 7 == 0:  # the refreshing flip
+            fresh = model.make_state(state.w)
+            for name in ("_logits", "_lse", "_lse_top"):
+                assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+            assert state.energy == fresh.energy
+            assert state._memo is None
+
+
 def test_cross_entropy_class_sums_are_per_class_feature_sums():
     ds = _sparse_toy_classifier(seed=8)
     model = CrossEntropyEnergy(ds)

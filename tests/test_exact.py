@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from replica_anneal import exact, fixtures
+from replica_anneal import exact, fixtures, verify
 from replica_anneal.annealer import accept_combined, accept_two_stage, interaction_delta, make_rng
 from replica_anneal.energies import PerceptronEnergy, TabulatedEnergy, generate_synthetic
 from replica_anneal.spins import ReplicaEnsemble
@@ -296,6 +296,7 @@ def test_n0_contains_tilde_n0(cluster4):
 
 def test_validate_schedule_azencott_passes():
     stages = [(math.log(k + 1), 2 * (k + 1)) for k in range(1, 10_001)]
+    assert verify.azencott_stages(10_000) == stages  # the built-in stages
     verdict = exact.validate_schedule(stages, m=1.0, kappa1=math.e)
     assert verdict.passed
     # closed form: criterion at n is -2n + n = -n

@@ -130,6 +130,12 @@ def test_robustness_deterministic_per_seed():
     assert a[0].mean_accuracy == b[0].mean_accuracy
 
 
+def test_robustness_needs_a_repetition():
+    model = PerceptronEnergy(generate_synthetic(count=5, dim=20, seed=4))
+    with pytest.raises(ValueError):
+        robustness_eval(np.ones(20, dtype=np.int8), model, [0.1], repetitions=0)
+
+
 def test_sweep_gamma_order_independent():
     cfg = _small_config()
     full = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
@@ -146,6 +152,12 @@ def test_sweep_gamma_order_independent():
 def test_sweep_needs_a_repetition():
     with pytest.raises(ValueError):
         sweep_gamma(_small_config(), [0.0], repetitions=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_needs_a_job(jobs):
+    with pytest.raises(ValueError):
+        sweep_gamma(_small_config(), [0.0], repetitions=1, jobs=jobs)
 
 
 def test_sweep_gamma_distinct_seeds_per_repetition():
