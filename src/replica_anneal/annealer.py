@@ -202,9 +202,15 @@ def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
         steps = np.arange(k)
         uniform_at = ((steps + 1) * m + 1 - b0) // 2 + steps
         words = bit_generator.random_raw(int(uniform_at[-1]) + 1)
-        # word 0 stands for the last half-word drawn before: its high half is the buffer
-        half_words = np.insert(np.delete(words, uniform_at), 0, state["uinteger"] << 32)
-        halves = half_words.astype("<u8").view("<u4")[2 - b0:]  # low, then high halves
+        # half-word g is word g + (2 g + b0) // m, after the uniforms of the
+        # steps whose halves end before it (no half-words when m = 0)
+        half_at = np.arange(words.size - k)
+        half_at += (2 * half_at + b0) // max(m, 1)
+        # entry 0 stands for the last half-word drawn before: its high half is the buffer
+        half_words = np.empty(half_at.size + 1, dtype=np.uint64)
+        half_words[0] = state["uinteger"] << 32
+        words.take(half_at, out=half_words[1:])
+        halves = half_words.astype("<u8", copy=False).view("<u4")[2 - b0:]  # low, then high
         columns = iter(halves[:k * m].reshape(k, m).T)
         scaled_a, scaled_i = [next(columns) * np.uint64(r) if r > 1
                               else np.zeros(k, dtype=np.uint64) for r in (y, n)]

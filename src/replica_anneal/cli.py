@@ -98,6 +98,13 @@ def cmd_validate_schedule(args) -> int:
     return 0 if verdict.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages-file", help="JSON list of [beta_k, T_k]")
     p.add_argument("--azencott", action="store_true",
                    help="use the built-in stage generator fixture")
-    p.add_argument("--horizon", type=int, default=10_000)
+    p.add_argument("--horizon", type=_positive_int, default=10_000)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--kappa1", type=float, default=math.e)
     p.set_defaults(func=cmd_validate_schedule)

@@ -180,6 +180,8 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 _LOG_2 = math.log(2.0)
+# features per block while CrossEntropyEnergy.column_index is built
+_INDEX_BLOCK = 32
 
 
 class CrossEntropyEnergy:
@@ -204,10 +206,31 @@ class CrossEntropyEnergy:
         return onehot @ ds.inputs
 
     @functools.cached_property
-    def zero_features(self) -> np.ndarray:
-        """(d,) bool: features that are zero in every sample. Features are
-        >= 0, so these are exactly the zero column sums."""
-        return self.class_sums.sum(axis=0) == 0.0
+    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, starts): feature j is nonzero in exactly the samples
+        rows[starts[j]:starts[j+1]], in ascending order.
+
+        rows has the smallest unsigned dtype that holds n - 1, uint16 from
+        257 to 65 536 samples, so the index costs 2 bytes per nonzero
+        feature value there; a flip converts its slice to intp. The index is
+        built a block of features at a time, once to count and once to fill,
+        so no (n, d) temporary and no second copy of rows exists.
+        """
+        inputs = self.dataset.inputs
+        n, d = inputs.shape
+        dtype = np.min_scalar_type(n - 1)
+        blocks = range(0, d, _INDEX_BLOCK)
+
+        def nonzero(lo):  # (features, n), so that each feature's samples are one row
+            return np.ascontiguousarray((inputs[:, lo:lo + _INDEX_BLOCK] != 0.0).T)
+
+        starts = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([nonzero(lo).sum(axis=1) for lo in blocks]), out=starts[1:])
+        rows = np.empty(starts[-1], dtype)
+        for lo in blocks:
+            for j, feature in enumerate(nonzero(lo), lo):
+                rows[starts[j]:starts[j + 1]] = np.flatnonzero(feature)
+        return rows, starts
 
     def _weight_matrix(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -236,24 +259,33 @@ class CrossEntropyState:
     """Per-replica cache of the logits and per-sample log-sum-exps.
 
     `_logits` is class-major, a C-contiguous (K, n) array, and `_lse` is (n,).
-    Flipping weight (k, j) adds -2 W_kj x[:, j] to the contiguous row
-    `_logits[k]`; the true-class part of the delta is -2 W_kj class_sums[k, j],
-    and a flip on a feature that is zero in every sample changes nothing.
+    Flipping weight (k, j) adds -2 W_kj x[s, j] to `_logits[k, s]`, which
+    changes only the samples s where feature j is nonzero: the rows of
+    `model.column_index`, about a fifth of the samples on MNIST-like data.
+    A flip gathers x, `_logits[k]` and `_lse` at those rows and computes
+    their log-sum-exp shifts; a feature that is zero in every sample has no
+    rows, a delta of 0 and touches nothing. The true-class part of the delta
+    is -2 W_kj class_sums[k, j].
+
+    The delta sums the shifts in the order of a sum over all n samples: they
+    are scattered into a zero row of length n, summed there and zeroed
+    again. A zero sample's shift is exactly +0.0 in the all-samples sum, so
+    the delta is the same double, whatever the sparsity.
 
     `_lse` is updated additively. In terms of the exp-mass Z = exp(lse), a
     flip takes class k's old mass out of Z and puts its new mass in, so an
     absolute error made in Z while Z was large stays when Z falls, and the
     error in lse grows by the ratio of the two. `_lse_top` holds each
     sample's largest `_lse` since it was last computed exactly; a sample is
-    recomputed from its K logits once it falls log 2 below that.
+    recomputed from its K logits once it falls log 2 below that. Only a
+    flip's rows can fall, so only they are tested.
     """
 
     def __init__(self, model: CrossEntropyEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
-        n = model.dataset.n
-        # scratch rows of the last flip_delta, reused by apply_flip via _memo
-        self._dcol, self._shift, self._tmp = np.empty(n), np.empty(n), np.empty(n)
+        # flip_delta scatters into this row and zeroes it again
+        self._spread = np.zeros(model.dataset.n)
         self._memo = None
         self._n_applied = 0
         self._refresh()
@@ -269,38 +301,43 @@ class CrossEntropyState:
     def flip_delta(self, i: int) -> float:
         model = self.model
         k, j = divmod(i, model.dataset.d)
-        if model.zero_features[j]:
-            delta = 0.0
-        else:
-            sign = -2.0 * float(self.w[i])
-            dcol, shift, tmp = self._dcol, self._shift, self._tmp
-            np.multiply(model.dataset.inputs[:, j], sign, out=dcol)
-            # lse' - lse = log1p(exp(z + d - lse) - exp(z - lse)); argument > -1
-            np.subtract(self._logits[k], self._lse, out=tmp)
-            np.add(tmp, dcol, out=shift)
-            np.exp(shift, out=shift)
-            np.exp(tmp, out=tmp)
-            shift -= tmp
-            np.log1p(shift, out=shift)
-            delta = float(shift.sum()) - sign * float(model.class_sums[k, j])
-        self._memo = (i, delta)
+        rows, starts = model.column_index
+        rows = rows[starts[j]:starts[j + 1]].astype(np.intp)
+        sign = -2.0 * float(self.w[i])
+        dcol = model.dataset.inputs[rows, j]
+        dcol *= sign
+        logit, lse = self._logits[k].take(rows), self._lse.take(rows)
+        # lse' - lse = log1p(exp(z + d - lse) - exp(z - lse)); argument > -1
+        tmp = logit - lse
+        shift = tmp + dcol
+        np.exp(shift, out=shift)
+        np.exp(tmp, out=tmp)
+        shift -= tmp
+        np.log1p(shift, out=shift)
+        self._spread[rows] = shift
+        total = float(self._spread.sum())
+        self._spread[rows] = 0.0
+        delta = total - sign * float(model.class_sums[k, j])
+        # what apply_flip needs, kept so that it gathers nothing again
+        self._memo = (i, delta, rows, logit, dcol, lse, shift)
         return delta
 
     def apply_flip(self, i: int) -> float:
         if self._memo is None or self._memo[0] != i:
             self.flip_delta(i)
-        delta = self._memo[1]
+        _, delta, rows, logit, dcol, lse, shift = self._memo
         self._memo = None
-        k, j = divmod(i, self.model.dataset.d)
-        if not self.model.zero_features[j]:
-            self._logits[k] += self._dcol
-            self._lse += self._shift
-            np.maximum(self._lse_top, self._lse, out=self._lse_top)
-            np.subtract(self._lse_top, _LOG_2, out=self._tmp)
-            low = np.flatnonzero(self._lse < self._tmp)
-            if low.size:
-                self._lse[low] = _logsumexp(self._logits.take(low, axis=1), axis=0)
-                self._lse_top[low] = self._lse[low]
+        logit += dcol
+        lse += shift
+        self._logits[i // self.model.dataset.d][rows] = logit
+        self._lse[rows] = lse
+        top = np.maximum(self._lse_top.take(rows), lse)
+        self._lse_top[rows] = top
+        top -= _LOG_2
+        low = rows[lse < top]
+        if low.size:
+            self._lse[low] = _logsumexp(self._logits.take(low, axis=1), axis=0)
+            self._lse_top[low] = self._lse[low]
         self.w[i] = -self.w[i]
         self.energy += delta
         self._n_applied += 1

@@ -158,6 +158,14 @@ def test_validate_schedule_stages_file_fails(tmp_path, capsys):
     assert doc["verdict"] == "FAIL"
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_validate_schedule_refuses_a_non_positive_horizon(horizon, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate-schedule", "--azencott", "--horizon", horizon, "--m", "1.0"])
+    assert err.value.code == 2
+    assert "--horizon: must be a positive integer" in capsys.readouterr().err
+
+
 def test_validate_schedule_requires_input():
     with pytest.raises(SystemExit):
         cli.main(["validate-schedule", "--m", "1.0"])

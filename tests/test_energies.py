@@ -172,7 +172,8 @@ def test_cross_entropy_class_sums_are_per_class_feature_sums():
     direct = np.array([ds.inputs[ds.targets == k].sum(axis=0) for k in range(3)])
     assert model.class_sums.shape == (3, ds.d)
     assert np.allclose(model.class_sums, direct, rtol=1e-14, atol=0.0)
-    assert list(np.flatnonzero(model.zero_features)) == [0, 4]
+    _, starts = model.column_index
+    assert list(np.flatnonzero(starts[1:] == starts[:-1])) == [0, 4]  # empty row ranges
 
 
 def test_cross_entropy_zero_feature_flip_is_free(rng):
@@ -186,6 +187,86 @@ def test_cross_entropy_zero_feature_flip_is_free(rng):
         assert state.apply_flip(i) == 0.0
         assert state.w[i] == -w[i] and state.energy == energy
         assert state._logits.tobytes() == logits and state._lse.tobytes() == lse
+
+
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_cross_entropy_column_index_lists_each_features_nonzero_samples(n, dtype):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(12)))
+    d = 70  # more than one block of features
+    inputs = gen.random((n, d)) * (gen.random((n, d)) < 0.2)
+    inputs[:, 3] = 0.0
+    inputs[n - 1, 5] = 0.5  # the last sample's index must fit the dtype
+    model = CrossEntropyEnergy(ClassifierDataset(inputs=inputs, targets=np.arange(n) % 2,
+                                                 num_classes=2))
+    rows, starts = model.column_index
+    assert rows.dtype == dtype and np.iinfo(rows.dtype).max >= n - 1
+    assert starts.shape == (d + 1,) and starts[0] == 0 and starts[-1] == rows.size
+    for j in range(d):
+        assert np.array_equal(rows[starts[j]:starts[j + 1]], np.flatnonzero(inputs[:, j])), j
+
+
+class _DenseCrossEntropyState:
+    """The cross-entropy cache updated over all n samples on every flip: the
+    arithmetic CrossEntropyState restricts to a feature's nonzero samples."""
+
+    def __init__(self, model, w):
+        fresh = model.make_state(w)
+        self.model, self.w, self.energy = model, fresh.w.copy(), fresh.energy
+        self.logits, self.lse, self.lse_top = (
+            fresh._logits.copy(), fresh._lse.copy(), fresh._lse_top.copy())
+        self.recomputed = 0
+
+    def flip_delta(self, i):
+        k, j = divmod(i, self.model.dataset.d)
+        sign = -2.0 * float(self.w[i])
+        dcol = self.model.dataset.inputs[:, j] * sign
+        tmp = self.logits[k] - self.lse
+        shift = np.log1p(np.exp(tmp + dcol) - np.exp(tmp))
+        return dcol, shift, float(shift.sum()) - sign * float(self.model.class_sums[k, j])
+
+    def apply_flip(self, i):
+        dcol, shift, delta = self.flip_delta(i)
+        k = i // self.model.dataset.d
+        self.logits[k] += dcol
+        self.lse += shift
+        np.maximum(self.lse_top, self.lse, out=self.lse_top)
+        low = np.flatnonzero(self.lse < self.lse_top - math.log(2.0))
+        if low.size:
+            part = self.logits[:, low]
+            top = part.max(axis=0)
+            self.lse[low] = top + np.log(np.exp(part - top).sum(axis=0))
+            self.lse_top[low] = self.lse[low]
+            self.recomputed += low.size
+        self.w[i] = -self.w[i]
+        self.energy += delta
+        return delta
+
+
+def test_cross_entropy_flips_equal_the_all_samples_arithmetic():
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+    n, d, k = 40, 8, 3
+    inputs = gen.random((n, d)) * (gen.random((n, d)) < 0.15)
+    inputs[:, 0] = 0.5 + 0.5 * gen.random(n)  # nonzero in every sample
+    inputs[:, 1] = 0.0
+    inputs[7, 1] = 0.75  # nonzero in exactly one sample
+    inputs[:, 2] = 0.0  # zero in every sample
+    assert 0.7 < np.mean(inputs == 0.0) < 0.85
+    model = CrossEntropyEnergy(ClassifierDataset(inputs=inputs, targets=np.arange(n) % k,
+                                                 num_classes=k))
+    state = model.make_state(gen.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1)
+    dense = _DenseCrossEntropyState(model, state.w)
+    features = set()
+    for _ in range(600):
+        i = int(gen.integers(model.n_spins))
+        features.add(i % d)
+        assert state.flip_delta(i) == dense.flip_delta(i)[2]
+        if gen.random() < 0.5:
+            assert state.apply_flip(i) == dense.apply_flip(i)
+        assert np.array_equal(state._logits, dense.logits)
+        assert np.array_equal(state._lse, dense.lse)
+        assert np.array_equal(state._lse_top, dense.lse_top)
+        assert state.energy == dense.energy
+    assert features == set(range(d)) and dense.recomputed > 0
 
 
 def _fresh_lse(model, w):
