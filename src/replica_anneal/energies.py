@@ -160,7 +160,8 @@ class ClassifierDataset:
             raise DimensionError("inputs must be (n, d)")
         if self.targets.shape != (self.inputs.shape[0],):
             raise DimensionError("one target per input row required")
-        if self.inputs.size and (self.inputs.min() < 0.0 or self.inputs.max() > 1.0):
+        # written so that a NaN, which compares False, fails
+        if self.inputs.size and not (0.0 <= self.inputs.min() and self.inputs.max() <= 1.0):
             raise DimensionError("features must lie in [0, 1]")
         if self.targets.size and (self.targets.min() < 0 or self.targets.max() >= self.num_classes):
             raise DimensionError("targets out of range")

@@ -21,6 +21,9 @@ MAX_NY_KERNEL = 12
 
 # largest |qbar K - (qbar K)^T| accepted as detailed balance
 REVERSIBILITY_TOL = 1e-10
+# entries (512 KB of doubles) in one block of scratch: enumerate_qbar's scores,
+# stationary_and_gap's Laplacian rows and _detailed_balance_error's tiles
+BLOCK = 1 << 16
 # beta grid of compute_constants' kappa1 fit and spectral-gap bracket
 BETA_GRID = np.linspace(2.0, 15.0, 14)
 # validate_schedule passes when the criterion trace ends below -SCHEDULE_THRESHOLD
@@ -92,23 +95,47 @@ def _normalize_log(logw: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _field_term(fields: np.ndarray, gamma: float, y: int) -> np.ndarray:
+    """sum_i log cosh(gamma f_i) on every row of a fields table."""
+    return _log_cosh_table(gamma, y)[fields + y].sum(axis=1)
+
+
 def folded_log_weights(energy: np.ndarray, n: int, y: int, beta: float, gamma: float) -> np.ndarray:
     """log of the unnormalized qbar weight: -beta sum_a E + sum_i log cosh(gamma f_i)."""
-    tot_e = total_energy_table(energy, n, y)
-    fields = fields_table(n, y)
-    return -beta * tot_e + _log_cosh_table(gamma, y)[fields + y].sum(axis=1)
+    return -beta * total_energy_table(energy, n, y) + _field_term(fields_table(n, y), gamma, y)
 
 
 def mu0(n: int, y: int, gamma: float) -> np.ndarray:
     """The beta-free interaction measure mu_0 on ensembles."""
-    fields = fields_table(n, y)
-    return _normalize_log(_log_cosh_table(gamma, y)[fields + y].sum(axis=1))
+    return _normalize_log(_field_term(fields_table(n, y), gamma, y))
+
+
+def _center_scores(gamma_fields: np.ndarray, n: int) -> np.ndarray:
+    """(rows, 2^n) matrix of <gamma f, sigma> over the configurations sigma.
+
+    Column c's sum adds the coordinates i = 0, 1, ... in turn, so it doubles
+    the columns once per coordinate: c and c + 2^i share the first i terms and
+    differ in the sign of the last. These are the sums of
+    `gamma_fields @ enumerate_configs(n).T` in a BLAS that accumulates over the
+    coordinates in order, but for any number of rows: numpy sends a product
+    with one or a few rows to other BLAS kernels, which can round differently.
+    """
+    scores = np.empty((gamma_fields.shape[0], 2**n))
+    first = gamma_fields[:, :1]
+    np.subtract(0.0, first, out=scores[:, :1])
+    scores[:, 1:2] = first
+    for i in range(1, n):
+        width, term = 1 << i, gamma_fields[:, i:i + 1]
+        np.add(scores[:, :width], term, out=scores[:, width:2 * width])
+        np.subtract(scores[:, :width], term, out=scores[:, :width])
+    return scores
 
 
 def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     """qbar two ways: direct sum over Sigma^{y+1} and the folded log-cosh form.
 
-    Returns (qbar_direct, qbar_folded, Z) with Z the direct double sum.
+    Returns (qbar_direct, qbar_folded, Z) with Z the direct double sum. The
+    direct route scores about BLOCK (ensemble, center) pairs at a time.
     """
     _check_size(n, y, MAX_NY_TABLES)
     if n > 10:
@@ -118,20 +145,21 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     tot_e = total_energy_table(energy, n, y)
 
     # direct: sum over the center sigma of exp(gamma <sigma, fields>)
-    configs = enumerate_configs(n).astype(np.float64)
     logw_direct = np.empty(2 ** (n * y))
-    chunk = max(1, (1 << 22) // (2**n))
+    chunk = max(1, BLOCK >> n)
     for lo in range(0, logw_direct.size, chunk):
         hi = min(lo + chunk, logw_direct.size)
-        scores = gamma * fields[lo:hi].astype(np.float64) @ configs.T
+        scores = _center_scores(gamma * fields[lo:hi].astype(np.float64), n)
         m = scores.max(axis=1)
-        logw_direct[lo:hi] = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
+        scores -= m[:, None]
+        np.exp(scores, out=scores)
+        logw_direct[lo:hi] = m + np.log(scores.sum(axis=1))
     logw_direct -= beta * tot_e
     m = logw_direct.max()
     log_z = m + math.log(np.exp(logw_direct - m).sum())
 
     qbar_direct = _normalize_log(logw_direct)
-    qbar_folded = _normalize_log(folded_log_weights(energy, n, y, beta, gamma))
+    qbar_folded = _normalize_log(-beta * tot_e + _field_term(fields, gamma, y))
     return qbar_direct, qbar_folded, float(np.exp(log_z))
 
 
@@ -182,16 +210,20 @@ def replica_swap(n: int, y: int) -> np.ndarray:
 
 
 def _detailed_balance_error(matrix: np.ndarray, qbar: np.ndarray) -> float:
-    """max |qbar_i K_ij - qbar_j K_ji|, tile by tile so that the transposed
-    read stays in cache."""
-    tile = 128
+    """max |qbar_i K_ij - qbar_j K_ji|, or NaN if any term is NaN.
+
+    Tile by tile, so that the transposed read stays in cache: a tile pair's
+    four temporaries (the two fluxes, their difference and its absolute value)
+    hold BLOCK entries together.
+    """
+    tile = max(1, math.isqrt(BLOCK // 4))
     worst = 0.0
     for i in range(0, qbar.size, tile):
         for j in range(0, i + 1, tile):
             flux = qbar[i:i + tile, None] * matrix[i:i + tile, j:j + tile]
             back = qbar[j:j + tile, None] * matrix[j:j + tile, i:i + tile]
-            worst = max(worst, float(np.abs(flux - back.T).max()))
-    return worst
+            worst = np.maximum(worst, np.abs(flux - back.T).max())
+    return float(worst)
 
 
 def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | None = None):
@@ -207,10 +239,12 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | 
     splits into an even block, on the fixed states f and the sums
     (e_r + e_{Pr})/sqrt 2, and an odd block, on the differences
     (e_r - e_{Pr})/sqrt 2, each about half the size; psi is the second
-    smallest of their spectra together.
+    smallest of their spectra together. The Laplacian rows of f and r are
+    built about BLOCK entries at a time and written straight into the blocks,
+    so no reordered copy of the kernel is made.
     """
     asym = _detailed_balance_error(matrix, qbar)
-    if asym > REVERSIBILITY_TOL:
+    if not asym <= REVERSIBILITY_TOL:
         raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
     idx = np.arange(qbar.size)
     swap = idx if swap is None else swap
@@ -218,30 +252,42 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | 
     pairs = np.flatnonzero(idx < swap)
     nf, nr = fixed.size, pairs.size
     h = nf + nr
-    # the kernel with rows and columns in the order fixed, pairs, partners
+    # the states in the order fixed, pairs, partners
     order = np.concatenate([fixed, pairs, swap[pairs]])
-    g = matrix.take(order, axis=0).take(order, axis=1)
-    f, r, p = slice(0, nf), slice(nf, h), slice(h, None)
-    if nr:
-        asym = max(float(np.abs(g[a, b] - g[c, d]).max())
-                   for a, b, c, d in ((r, r, p, p), (r, p, p, r), (f, r, f, p), (r, f, p, f)))
-        if asym > REVERSIBILITY_TOL:
-            raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
-    # rows f and r of the Laplacian: -sqrt(q_i) K_ij / sqrt(q_j) off the diagonal
-    lap = g[:h]
-    np.fill_diagonal(lap, 0.0)
-    escape = lap.sum(axis=1)
     sq = np.sqrt(qbar[order])
-    lap *= -sq[:h, None]
-    lap /= sq
-    np.fill_diagonal(lap, escape)
-    even = lap[:, :h].copy()
-    even[f, r] *= math.sqrt(2.0)
-    even[r, f] *= math.sqrt(2.0)
-    even[r, r] += lap[r, p]
+    even, odd = np.empty((h, h)), np.empty((nr, nr))
+    asym = 0.0
+    step = max(1, BLOCK // qbar.size)
+    for lo in range(0, h, step):
+        hi = min(lo + step, h)
+        rows = order[lo:hi]
+        block = matrix.take(rows, axis=0)
+        if nr:
+            # the partner rows are the swap images of the pair rows, so these
+            # comparisons reach every entry
+            mirror = matrix.take(swap[rows], axis=0).take(swap, axis=1)
+            asym = np.maximum(asym, np.abs(block - mirror).max())
+        # Laplacian rows lo:hi, columns in `order`: -sqrt(q_i) K_ij / sqrt(q_j) off the diagonal
+        lap = block.take(order, axis=1)
+        np.fill_diagonal(lap[:, lo:], 0.0)
+        escape = lap.sum(axis=1)
+        lap *= -sq[lo:hi, None]
+        lap /= sq
+        np.fill_diagonal(lap[:, lo:], escape)
+        even[lo:hi] = lap[:, :h]
+        # rows lo:mid are fixed states and rows mid:hi pair states
+        mid = min(max(nf, lo), hi)
+        even[lo:mid, nf:] *= math.sqrt(2.0)
+        if mid < hi:
+            pair_rows = lap[mid - lo:]
+            even[mid:hi, :nf] *= math.sqrt(2.0)
+            even[mid:hi, nf:] += pair_rows[:, h:]
+            odd[mid - nf:hi - nf] = pair_rows[:, nf:h] - pair_rows[:, h:]
+    if not asym <= REVERSIBILITY_TOL:
+        raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
     low = [np.linalg.eigvalsh(even)[:2]]  # eigenvalues come in ascending order
     if nr:
-        low.append(np.linalg.eigvalsh(lap[r, r] - lap[r, p])[:1])
+        low.append(np.linalg.eigvalsh(odd)[:1])
     psi = float(np.sort(np.concatenate(low))[1])
     stationary = qbar @ matrix
     return stationary, 1.0 - psi, psi
@@ -326,7 +372,9 @@ def compute_constants(model, n: int, y: int, gamma: float,
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
     m = compute_elevation_m(model, n, y)
     n0, tilde = _n0_sets(energy, n, y)
-    qbars = [_normalize_log(folded_log_weights(energy, n, y, beta, gamma)) for beta in BETA_GRID]
+    tot_e = total_energy_table(energy, n, y)
+    field_term = _field_term(fields_table(n, y), gamma, y)
+    qbars = [_normalize_log(-beta * tot_e + field_term) for beta in BETA_GRID]
 
     # kappa1: smallest constant with ||qbar_b1 - qbar_b2||_inf <= kappa1 e^{-b1 B}
     kappa1 = 1.0
@@ -339,8 +387,9 @@ def compute_constants(model, n: int, y: int, gamma: float,
     psi_values = []
     scaled = []
     for beta, qbar in zip(BETA_GRID, qbars):
-        k_mat = build_kernel_matrix(model, n, y, beta, gamma, kernel)
-        _, _, psi = stationary_and_gap(k_mat, qbar, swap)
+        # no name holds the kernel, so it is freed before the next beta's is built
+        _, _, psi = stationary_and_gap(build_kernel_matrix(model, n, y, beta, gamma, kernel),
+                                       qbar, swap)
         psi_values.append((float(beta), float(psi)))
         scaled.append(psi * math.exp(beta * m))
     return ConvergenceConstants(B=b_const, Bprime=float(b_prime), m=float(m),

@@ -323,6 +323,14 @@ def test_classifier_dataset_validation():
         ClassifierDataset(inputs=np.array([[0.5]]), targets=np.array([5]), num_classes=2)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_classifier_dataset_refuses_nan_features(where):
+    inputs = np.full((2, 3), 0.5)
+    inputs[where] = np.nan
+    with pytest.raises(DimensionError, match=r"\[0, 1\]"):
+        ClassifierDataset(inputs=inputs, targets=np.array([0, 1]), num_classes=2)
+
+
 def test_tabulated_energy_index_round_trip():
     model = TabulatedEnergy([0.0, 1.0, 2.0, 3.0], n=2)
     for idx in range(4):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,89 @@ def test_stationary_and_gap_rejects_nonreversible():
         exact.stationary_and_gap(k, qbar)
 
 
+def test_stationary_and_gap_rejects_nan():
+    # qbar K is symmetric wherever it is defined, so only the NaN can fail
+    k = np.array([[0.5, np.nan], [0.5, 0.5]])
+    with pytest.raises(exact.NonReversibleError, match="detailed balance"):
+        exact.stationary_and_gap(k, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (4, 0), (1, 4), (5, 10)],
+                         ids=["fixed-fixed", "pair-fixed", "partner-fixed", "pair-partner",
+                              "fixed-fixed-off-diagonal"])
+def test_swap_check_reaches_every_entry_and_rejects_nan(entry, monkeypatch):
+    """N=2, y=2: 0, 5, 10 and 15 are fixed, 1 and 4 are a pair. With the
+    detailed-balance check stubbed out, a NaN anywhere, partner rows
+    included, is caught by the swap check alone."""
+    model, n, y = fixtures.double_well(2), 2, 2
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, 1.0, 0.5)
+    k = exact.build_kernel_matrix(model, n, y, 1.0, 0.5)
+    k[entry] = np.nan
+    monkeypatch.setattr(exact, "_detailed_balance_error", lambda matrix, q: 0.0)
+    with pytest.raises(exact.NonReversibleError, match="swap"):
+        exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
+
+
+@pytest.mark.parametrize("block", [1, 3, 200, 1 << 40])
+def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
+    """S = 64: block 1 and 3 give one row at a time, 200 gives chunks of 25
+    rows that do not divide S and gap blocks of 3 rows that straddle the
+    fixed and pair states, and 1 << 40 one block."""
+    def outputs():
+        out = []
+        for n, y in [(3, 2), (2, 3)]:
+            model = fixtures.random_integer_energies(n, make_rng(10 + n))
+            direct, folded, z = exact.enumerate_qbar(model, n, y, 1.3, 0.7)
+            k = exact.build_kernel_matrix(model, n, y, 1.3, 0.7)
+            out += [direct, folded, z]
+            for swap in (None, exact.replica_swap(n, y)):
+                stationary, lam, psi = exact.stationary_and_gap(k, folded, swap)
+                out += [stationary, lam, psi]
+        return out
+
+    expected = outputs()
+    monkeypatch.setattr(exact, "BLOCK", block)
+    for got, want in zip(outputs(), expected, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_center_scores_add_the_coordinates_in_order(n):
+    gamma_fields = 0.3 * make_rng(n).integers(-3, 4, size=(5, n))
+    configs = exact.enumerate_configs(n)
+    expected = np.zeros((5, 2**n))
+    for i in range(n):
+        expected = expected + gamma_fields[:, i:i + 1] * configs[:, i]
+    assert np.array_equal(exact._center_scores(gamma_fields, n), expected)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_qbar_scores_in_bounded_memory():
+    """N=8, y=2 has 2^24 (ensemble, center) scores, 128 MB of doubles; the
+    direct route holds about BLOCK of them, so the peak is the (S, N)
+    tables, about 15 MB."""
+    model = fixtures.random_integer_energies(8, make_rng(0))
+    assert _traced_peak(exact.enumerate_qbar, model, 8, 2, 1.0, 0.5) < 32 * 2**20
+
+
+def test_split_gap_makes_no_copy_of_the_kernel():
+    """S = 1024: the two half-size blocks and eigvalsh's copy of one fit in
+    less than the 8 MB kernel."""
+    model, n, y = fixtures.random_integer_energies(5, make_rng(1)), 5, 2
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, 3.0, 0.5)
+    k = exact.build_kernel_matrix(model, n, y, 3.0, 0.5)
+    swap = exact.replica_swap(n, y)
+    assert _traced_peak(exact.stationary_and_gap, k, qbar, swap) < k.nbytes
+
+
 def test_replica_swap_is_an_involution_fixing_the_aligned_ensembles():
     for n, y in [(1, 2), (3, 2), (2, 3), (1, 4), (2, 4)]:
         swap = exact.replica_swap(n, y)
@@ -232,7 +316,7 @@ def _reference_gap(model, n, y, beta, gamma, mp):
 def test_gap_matches_a_50_digit_reference(split):
     """Criterion 4's instance at beta = 20, where psi ~ 5e-10 and 1 - lambda_2
     loses all but about six digits."""
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath  # a declared test dependency: this guard must not skip
     model, n, y, beta, gamma = fixtures.double_well(2), 2, 2, 20.0, 0.5
     with mpmath.workdps(50):
         ref = _reference_gap(model, n, y, beta, gamma, mpmath.mp)
