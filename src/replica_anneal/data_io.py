@@ -69,11 +69,11 @@ def parse_idx(data: bytes) -> IdxFile:
     # unsigned; math.prod, because np.prod would wrap in int64 for dims near 2^32
     dims = struct.unpack(f">{ndim}I", data[4:header])
     expected = math.prod(dims)
-    payload = data[header:]
-    if len(payload) != expected:
+    if len(data) - header != expected:
         raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, expected {expected} from dims {dims}")
-    return IdxFile(magic=magic, dims=dims, payload=np.frombuffer(payload, dtype=np.uint8))
+            f"payload has {len(data) - header} bytes, expected {expected} from dims {dims}")
+    # a view of data, not a copy of it
+    return IdxFile(magic=magic, dims=dims, payload=np.frombuffer(data, np.uint8, offset=header))
 
 
 def read_idx(path) -> IdxFile:
@@ -98,7 +98,8 @@ def dataset_from_idx(images: IdxFile, labels: IdxFile, num_classes: int = 10) ->
             f"{images.dims[0]} images but {labels.dims[0]} labels")
     n = images.dims[0]
     d = int(np.prod(images.dims[1:]))
-    inputs = images.payload.reshape(n, d).astype(np.float64) / 255.0
+    # pixel k is k / 255, bit for bit energies.PIXEL_LEVELS[k]; one float64 array is made
+    inputs = images.payload.reshape(n, d) / 255.0
     return ClassifierDataset(inputs=inputs, targets=labels.payload.astype(np.int64),
                              num_classes=num_classes)
 

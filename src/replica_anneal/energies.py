@@ -181,8 +181,11 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 _LOG_2 = math.log(2.0)
+# the input value of pixel k in an 8-bit image, k/255
+PIXEL_LEVELS = np.arange(256) / 255.0
+PIXEL_LEVELS.setflags(write=False)  # shared by every index built on pixel data
 # features per block while CrossEntropyEnergy.column_index is built
-_INDEX_BLOCK = 32
+_INDEX_BLOCK = 8
 
 
 class CrossEntropyEnergy:
@@ -207,31 +210,65 @@ class CrossEntropyEnergy:
         return onehot @ ds.inputs
 
     @functools.cached_property
-    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, starts): feature j is nonzero in exactly the samples
-        rows[starts[j]:starts[j+1]], in ascending order.
+    def column_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, codes, starts, levels): feature j is nonzero in exactly the
+        samples rows[starts[j]:starts[j+1]], in ascending order, where it takes
+        the values levels[codes[starts[j]:starts[j+1]]].
 
         rows has the smallest unsigned dtype that holds n - 1, uint16 from
-        257 to 65 536 samples, so the index costs 2 bytes per nonzero
-        feature value there; a flip converts its slice to intp. The index is
-        built a block of features at a time, once to count and once to fill,
-        so no (n, d) temporary and no second copy of rows exists.
+        257 to 65 536 samples; a flip converts its slice to intp. levels is a
+        sorted table of input values that starts with 0, and codes has the
+        smallest unsigned dtype that indexes it. There are two encodings,
+        decoded alike. When every value is a pixel level k/255, as in every
+        IDX-loaded dataset, levels is PIXEL_LEVELS and codes are uint8, so the
+        index costs 3 bytes per nonzero value on MNIST-sized data. Otherwise
+        levels is 0 followed by the distinct nonzero values, the only table
+        that is exact for arbitrary floats. A flip reads its feature's values from here, never
+        from `inputs`.
+
+        One pass over blocks of samples counts and tests for pixels, and one
+        over blocks of _INDEX_BLOCK features fills rows and codes. Each holds
+        the temporaries of one block only, so on pixel data no (n, d) or
+        nonzero-long temporary and no second copy of rows or codes exists.
         """
         inputs = self.dataset.inputs
         n, d = inputs.shape
-        dtype = np.min_scalar_type(n - 1)
-        blocks = range(0, d, _INDEX_BLOCK)
-
-        def nonzero(lo):  # (features, n), so that each feature's samples are one row
-            return np.ascontiguousarray((inputs[:, lo:lo + _INDEX_BLOCK] != 0.0).T)
-
+        # pass 1, over blocks of whole samples holding as many values as a
+        # block of features: each feature's count, and whether all are pixels
+        samples = range(0, n, max(1, _INDEX_BLOCK * n // max(d, 1)))
         starts = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([nonzero(lo).sum(axis=1) for lo in blocks]), out=starts[1:])
-        rows = np.empty(starts[-1], dtype)
-        for lo in blocks:
-            for j, feature in enumerate(nonzero(lo), lo):
-                rows[starts[j]:starts[j + 1]] = np.flatnonzero(feature)
-        return rows, starts
+        pixels = True
+        for lo in samples:
+            part = inputs[lo:lo + samples.step]
+            starts[1:] += np.count_nonzero(part, axis=0)
+            if pixels:  # rint(255 v) / 255 is PIXEL_LEVELS[rint(255 v)]
+                level = part * 255.0
+                np.rint(level, out=level)
+                level /= 255.0
+                pixels = np.array_equal(level, part)
+        np.cumsum(starts, out=starts)
+        if pixels:
+            levels = PIXEL_LEVELS
+        else:  # with 0 first, as in PIXEL_LEVELS, so that code 0 is a zero value in both
+            levels = np.unique(np.concatenate(
+                [[0.0]] + [np.unique(inputs[lo:lo + samples.step]) for lo in samples]))
+        rows = np.empty(starts[-1], np.min_scalar_type(n - 1))
+        codes = np.empty(starts[-1], np.min_scalar_type(levels.size - 1))
+        # pass 2, over blocks of features: encode, transpose to (features, n)
+        # and keep the nonzero codes in that order, with their samples
+        for lo in range(0, d, _INDEX_BLOCK):
+            part = inputs[:, lo:lo + _INDEX_BLOCK]
+            if pixels:
+                code = part * 255.0
+                np.rint(code, out=code)
+            else:
+                code = np.searchsorted(levels, part)
+            code = np.ascontiguousarray(code.astype(codes.dtype).T).ravel()
+            flat = np.flatnonzero(code != 0)
+            span = slice(starts[lo], starts[min(lo + _INDEX_BLOCK, d)])
+            codes[span] = code[flat]
+            rows[span] = np.remainder(flat, n, out=flat)
+        return rows, codes, starts, levels
 
     def _weight_matrix(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -263,10 +300,12 @@ class CrossEntropyState:
     Flipping weight (k, j) adds -2 W_kj x[s, j] to `_logits[k, s]`, which
     changes only the samples s where feature j is nonzero: the rows of
     `model.column_index`, about a fifth of the samples on MNIST-like data.
-    A flip gathers x, `_logits[k]` and `_lse` at those rows and computes
-    their log-sum-exp shifts; a feature that is zero in every sample has no
-    rows, a delta of 0 and touches nothing. The true-class part of the delta
-    is -2 W_kj class_sums[k, j].
+    A flip decodes x[s, j] at those rows from the index's code table, one
+    contiguous byte each on pixel data, so it never reads `dataset.inputs`;
+    it gathers `_logits[k]` and `_lse` there and computes their log-sum-exp
+    shifts. A feature that is zero in every sample has no rows, a delta of 0
+    and touches nothing. The true-class part of the delta is
+    -2 W_kj class_sums[k, j].
 
     The delta sums the shifts in the order of a sum over all n samples: they
     are scattered into a zero row of length n, summed there and zeroed
@@ -302,10 +341,11 @@ class CrossEntropyState:
     def flip_delta(self, i: int) -> float:
         model = self.model
         k, j = divmod(i, model.dataset.d)
-        rows, starts = model.column_index
-        rows = rows[starts[j]:starts[j + 1]].astype(np.intp)
+        rows, codes, starts, levels = model.column_index
+        span = slice(starts[j], starts[j + 1])
+        rows = rows[span].astype(np.intp)
         sign = -2.0 * float(self.w[i])
-        dcol = model.dataset.inputs[rows, j]
+        dcol = levels.take(codes[span])
         dcol *= sign
         logit, lse = self._logits[k].take(rows), self._lse.take(rows)
         # lse' - lse = log1p(exp(z + d - lse) - exp(z - lse)); argument > -1

@@ -275,9 +275,9 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | 
         lap /= sq
         np.fill_diagonal(lap[:, lo:], escape)
         even[lo:hi] = lap[:, :h]
-        # rows lo:mid are fixed states and rows mid:hi pair states
+        # rows lo:mid are fixed states and rows mid:hi pair states; the fixed
+        # rows' pair columns are the upper triangle, which eigvalsh does not read
         mid = min(max(nf, lo), hi)
-        even[lo:mid, nf:] *= math.sqrt(2.0)
         if mid < hi:
             pair_rows = lap[mid - lo:]
             even[mid:hi, :nf] *= math.sqrt(2.0)
@@ -285,7 +285,8 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | 
             odd[mid - nf:hi - nf] = pair_rows[:, nf:h] - pair_rows[:, h:]
     if not asym <= REVERSIBILITY_TOL:
         raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
-    low = [np.linalg.eigvalsh(even)[:2]]  # eigenvalues come in ascending order
+    # ascending eigenvalues, from the lower triangle only: the upper is left unscaled
+    low = [np.linalg.eigvalsh(even, UPLO="L")[:2]]
     if nr:
         low.append(np.linalg.eigvalsh(odd)[:1])
     psi = float(np.sort(np.concatenate(low))[1])
@@ -353,8 +354,8 @@ class ConvergenceConstants:
     C: float
 
 
-def _n0_sets(energy: np.ndarray, n: int, y: int, tol: float = 1e-12):
-    tot_e = total_energy_table(energy, n, y)
+def _n0_sets(tot_e: np.ndarray, n: int, y: int, tol: float = 1e-12):
+    """Zero-energy ensembles, and those of them with all replicas equal."""
     n0 = np.flatnonzero(tot_e <= tol)
     states = replica_states(n, y)
     aligned = np.all(states == states[:, :1], axis=1)
@@ -371,8 +372,8 @@ def compute_constants(model, n: int, y: int, gamma: float,
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
     m = compute_elevation_m(model, n, y)
-    n0, tilde = _n0_sets(energy, n, y)
     tot_e = total_energy_table(energy, n, y)
+    n0, tilde = _n0_sets(tot_e, n, y)
     field_term = _field_term(fields_table(n, y), gamma, y)
     qbars = [_normalize_log(-beta * tot_e + field_term) for beta in BETA_GRID]
 
@@ -448,16 +449,19 @@ def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     mu_0) and at beta = BETA_LARGE, gamma = GAMMA_LARGE (uniform on the
     aligned zero-energy set)."""
     _check_size(n, y, MAX_NY_TABLES)
-    energy = energy_table_of(model, n)
-    n0, tilde = _n0_sets(energy, n, y)
-    qbar = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, gamma))
+    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    fields = fields_table(n, y)
+    n0, tilde = _n0_sets(tot_e, n, y)
+    # folded_log_weights and mu0 on the one pair of tables
+    field_term = _field_term(fields, gamma, y)
+    qbar = _normalize_log(-BETA_LARGE * tot_e + field_term)
     mass_outside = float(1.0 - qbar[n0].sum())
-    mu = mu0(n, y, gamma)
+    mu = _normalize_log(field_term)
     cond = qbar[n0] / qbar[n0].sum()
     mu_cond = mu[n0] / mu[n0].sum()
     linf_vs_mu0 = float(np.abs(cond - mu_cond).max())
 
-    qbar_gg = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, GAMMA_LARGE))
+    qbar_gg = _normalize_log(-BETA_LARGE * tot_e + _field_term(fields, GAMMA_LARGE, y))
     uniform = np.full(tilde.size, 1.0 / tilde.size) if tilde.size else np.array([])
     cond_gg = qbar_gg[tilde] / qbar_gg[tilde].sum() if tilde.size else np.array([])
     linf_vs_uniform = float(np.abs(cond_gg - uniform).max()) if tilde.size else math.nan

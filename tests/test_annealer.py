@@ -282,6 +282,9 @@ def _pinned_chains():
     perceptron_sched = AnnealSchedule.exponential(0.1, 1.0, 5000, gamma=0.5)
     gen = make_rng(6)
     classifier = ClassifierDataset(gen.random((24, 3)), gen.integers(0, 3, 24), 3)
+    pix = make_rng(7)
+    pixels = ClassifierDataset(pix.integers(0, 256, (30, 5)) * (pix.random((30, 5)) < 0.5) / 255.0,
+                               pix.integers(0, 3, 30), 3)
     return {
         # y*N = 33 is odd: the block draws start with a half buffered
         "perceptron-combined": Chain(perceptron, 3, perceptron_sched, kernel="combined",
@@ -294,6 +297,10 @@ def _pinned_chains():
         "cross-entropy": Chain(CrossEntropyEnergy(classifier), 2,
                                AnnealSchedule.exponential(0.5, 20.0, 5000, gamma=0.3),
                                seed=33),
+        # pixel values, whose flips decode the PIXEL_LEVELS table
+        "cross-entropy-pixels": Chain(CrossEntropyEnergy(pixels), 2,
+                                      AnnealSchedule.exponential(0.5, 20.0, 5000, gamma=0.3),
+                                      seed=36),
         # y*N = 11 and 3 are odd as well, and a step draws one half: y = 1 draws
         # no replica and N = 1 no coordinate
         "perceptron-one-replica": Chain(perceptron, 1, perceptron_sched, seed=34),
@@ -311,6 +318,8 @@ PINNED_TRAJECTORIES = {
     "tabulated": (884, "3053b491c2ed31eb", [0.0, 0.0], 0.41916977666855615),
     "cross-entropy": (594, "c6544aa8b5a3d5b3", [23.808499838970974, 24.92688341306466],
                       0.5053402987082218),
+    "cross-entropy-pixels": (790, "b4a99949a9d9551f", [29.670933576196994, 29.67093357619697],
+                             0.9069086783116378),
     "perceptron-one-replica": (3148, "3ad30f3de3d58ccf", [3.0], 0.6208560316548304),
     "tabulated-one-spin": (1484, "75c8fd04ad916aec", [0.0, 0.0, 0.0], 0.5007689804190346),
 }

@@ -23,7 +23,7 @@ from replica_anneal.data_io import (
     write_idx,
     write_results,
 )
-from replica_anneal.energies import ClassifierDataset
+from replica_anneal.energies import PIXEL_LEVELS, ClassifierDataset
 
 
 def _image_bytes(images: np.ndarray) -> bytes:
@@ -97,6 +97,22 @@ def test_dataset_from_idx_scales_and_checks():
         dataset_from_idx(images, parse_idx(_label_bytes(np.array([1, 2]))))
     with pytest.raises(BadMagicError):
         dataset_from_idx(labels, labels)
+
+
+def test_dataset_from_idx_reads_each_pixel_as_its_level():
+    pixels = np.arange(256, dtype=np.uint8)
+    images = parse_idx(_image_bytes(pixels.reshape(16, 4, 4)))
+    ds = dataset_from_idx(images, parse_idx(_label_bytes(np.zeros(16))))
+    assert ds.inputs.shape == (16, 16)
+    assert ds.inputs.tobytes() == (pixels.reshape(16, 16) / 255.0).tobytes()
+    assert ds.inputs.tobytes() == PIXEL_LEVELS[pixels.reshape(16, 16)].tobytes()
+
+
+def test_parse_idx_payload_is_a_view_of_the_file():
+    raw = _image_bytes(np.arange(8, dtype=np.uint8).reshape(2, 2, 2))
+    idx = parse_idx(raw)
+    assert np.shares_memory(idx.payload, np.frombuffer(raw, np.uint8))
+    assert idx.payload.tobytes() == raw[16:]
 
 
 def test_load_mnist_missing_files_actionable(tmp_path, monkeypatch):

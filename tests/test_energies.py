@@ -8,6 +8,7 @@ from replica_anneal.energies import (
     ClassifierDataset,
     CrossEntropyEnergy,
     DimensionError,
+    PIXEL_LEVELS,
     PatternSet,
     PerceptronEnergy,
     TabulatedEnergy,
@@ -172,7 +173,7 @@ def test_cross_entropy_class_sums_are_per_class_feature_sums():
     direct = np.array([ds.inputs[ds.targets == k].sum(axis=0) for k in range(3)])
     assert model.class_sums.shape == (3, ds.d)
     assert np.allclose(model.class_sums, direct, rtol=1e-14, atol=0.0)
-    _, starts = model.column_index
+    _, _, starts, _ = model.column_index
     assert list(np.flatnonzero(starts[1:] == starts[:-1])) == [0, 4]  # empty row ranges
 
 
@@ -193,16 +194,32 @@ def test_cross_entropy_zero_feature_flip_is_free(rng):
 def test_cross_entropy_column_index_lists_each_features_nonzero_samples(n, dtype):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(12)))
     d = 70  # more than one block of features
-    inputs = gen.random((n, d)) * (gen.random((n, d)) < 0.2)
-    inputs[:, 3] = 0.0
-    inputs[n - 1, 5] = 0.5  # the last sample's index must fit the dtype
-    model = CrossEntropyEnergy(ClassifierDataset(inputs=inputs, targets=np.arange(n) % 2,
-                                                 num_classes=2))
-    rows, starts = model.column_index
-    assert rows.dtype == dtype and np.iinfo(rows.dtype).max >= n - 1
-    assert starts.shape == (d + 1,) and starts[0] == 0 and starts[-1] == rows.size
-    for j in range(d):
-        assert np.array_equal(rows[starts[j]:starts[j + 1]], np.flatnonzero(inputs[:, j])), j
+    for values in ("pixels", "floats", "one-off-grid"):
+        if values == "floats":
+            inputs = gen.random((n, d))
+        else:
+            inputs = gen.integers(1, 256, size=(n, d)) / 255.0
+        inputs *= gen.random((n, d)) < 0.2
+        inputs[:, 3] = 0.0
+        # the last sample's index must fit the dtype
+        inputs[n - 1, 5] = 0.5 if values == "floats" else 128 / 255
+        if values == "one-off-grid":
+            inputs[n // 2, 9] = np.nextafter(100 / 255, 1.0)
+        model = CrossEntropyEnergy(ClassifierDataset(inputs=inputs, targets=np.arange(n) % 2,
+                                                     num_classes=2))
+        rows, codes, starts, levels = model.column_index
+        assert rows.dtype == dtype and np.iinfo(rows.dtype).max >= n - 1
+        assert starts.shape == (d + 1,) and starts[0] == 0 and starts[-1] == rows.size
+        assert codes.shape == rows.shape
+        if values == "pixels":
+            assert levels is PIXEL_LEVELS and codes.dtype == np.uint8
+        else:
+            assert np.array_equal(levels, np.unique(np.append(inputs, 0.0)))
+            assert codes.dtype == np.min_scalar_type(levels.size - 1), values
+        for j in range(d):
+            span = slice(starts[j], starts[j + 1])
+            assert np.array_equal(rows[span], np.flatnonzero(inputs[:, j])), (values, j)
+            assert levels[codes[span]].tobytes() == inputs[rows[span], j].tobytes(), (values, j)
 
 
 class _DenseCrossEntropyState:
@@ -242,7 +259,8 @@ class _DenseCrossEntropyState:
         return delta
 
 
-def test_cross_entropy_flips_equal_the_all_samples_arithmetic():
+@pytest.mark.parametrize("values", ["pixels", "floats"])
+def test_cross_entropy_flips_equal_the_all_samples_arithmetic(values):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
     n, d, k = 40, 8, 3
     inputs = gen.random((n, d)) * (gen.random((n, d)) < 0.15)
@@ -250,6 +268,8 @@ def test_cross_entropy_flips_equal_the_all_samples_arithmetic():
     inputs[:, 1] = 0.0
     inputs[7, 1] = 0.75  # nonzero in exactly one sample
     inputs[:, 2] = 0.0  # zero in every sample
+    if values == "pixels":
+        inputs = np.rint(inputs * 255.0) / 255.0
     assert 0.7 < np.mean(inputs == 0.0) < 0.85
     model = CrossEntropyEnergy(ClassifierDataset(inputs=inputs, targets=np.arange(n) % k,
                                                  num_classes=k))
@@ -267,6 +287,24 @@ def test_cross_entropy_flips_equal_the_all_samples_arithmetic():
         assert np.array_equal(state._lse_top, dense.lse_top)
         assert state.energy == dense.energy
     assert features == set(range(d)) and dense.recomputed > 0
+    assert (model.column_index[3] is PIXEL_LEVELS) == (values == "pixels")
+
+
+def test_cross_entropy_flips_do_not_read_the_inputs(rng):
+    ds = _sparse_toy_classifier(seed=13)
+    model, twin = CrossEntropyEnergy(ds), CrossEntropyEnergy(
+        ClassifierDataset(ds.inputs.copy(), ds.targets, ds.num_classes))
+    w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
+    state, reference = model.make_state(w), twin.make_state(w)
+    for step in range(300):
+        i = int(rng.integers(model.n_spins))
+        assert state.flip_delta(i) == reference.flip_delta(i)
+        assert state.apply_flip(i) == reference.apply_flip(i)
+        if step == 0:  # the index and class sums are built by now
+            model.dataset.inputs.fill(np.nan)
+        for name in ("_logits", "_lse", "_lse_top"):
+            assert np.array_equal(getattr(state, name), getattr(reference, name)), name
+        assert state.energy == reference.energy
 
 
 def _fresh_lse(model, w):

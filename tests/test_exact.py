@@ -418,6 +418,22 @@ def test_limit_distribution_gamma0_uniform_on_n0(cluster4):
     assert rep["linf_conditional_vs_mu0"] <= 1e-9  # mu0 is uniform at gamma=0
 
 
+def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
+    built = {"total_energy_table": 0, "fields_table": 0}
+    for name in built:
+        def counted(*args, _table=getattr(exact, name), _name=name):
+            built[_name] += 1
+            return _table(*args)
+        monkeypatch.setattr(exact, name, counted)
+    exact.limit_distribution_check(cluster4, 4, 2, gamma=0.5)
+    assert built == {"total_energy_table": 1, "fields_table": 1}
+    built.update(total_energy_table=0, fields_table=0)
+    exact.compute_constants(cluster4, 4, 2, gamma=0.5)
+    # besides its own: compute_elevation_m's table, and both in each kernel build
+    kernels = exact.BETA_GRID.size
+    assert built == {"total_energy_table": 2 + kernels, "fields_table": 1 + kernels}
+
+
 def test_classify_minima_cluster(cluster4):
     by_index = {info.index: info for info in exact.classify_minima(cluster4, 4)}
     center = fixtures.dense_center_index(4)
