@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,13 +22,26 @@ def log_cosh_stable(x: float) -> float:
 
 
 def interaction_delta(ensemble: ReplicaEnsemble, gamma: float, a: int, i: int) -> float:
-    """Change of sum_i log cosh(gamma * fields[i]) when spin i of replica a flips. O(1)."""
-    f = int(ensemble.fields[i])
-    s = int(ensemble.states[a].w[i])
-    f_new = f - 2 * s
+    """Change of sum_i log cosh(gamma * fields[i]) when spin i of replica a flips. O(1).
+
+    log_cosh_stable(gamma * f) is read from the ensemble's table for this
+    gamma, which holds f at list index f (so -y..-1 wrap to its end) and is
+    filled as fields are met.
+    """
     if gamma == 0.0:
         return 0.0
-    return log_cosh_stable(gamma * f_new) - log_cosh_stable(gamma * f)
+    f = int(ensemble.fields[i])
+    f_new = f - 2 * int(ensemble.states[a].w[i])
+    if gamma != ensemble.log_cosh_gamma:
+        ensemble.log_cosh_gamma = gamma
+        ensemble.log_cosh = [None] * (2 * ensemble.y + 1)
+    table = ensemble.log_cosh
+    new, old = table[f_new], table[f]
+    if new is None:
+        new = table[f_new] = log_cosh_stable(gamma * f_new)
+    if old is None:
+        old = table[f] = log_cosh_stable(gamma * f)
+    return new - old
 
 
 def accept_two_stage(delta_e: float, delta_h: float, beta: float) -> float:
@@ -71,7 +86,7 @@ class AnnealSchedule:
     gamma_i: float = 0.0
     gamma_f: float | None = None
     stages: list[tuple[float, float, int]] | None = None
-    _stage_bounds: np.ndarray | None = field(init=False, default=None, repr=False)
+    _stage_bounds: list[int] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exponential", "piecewise"):
@@ -97,7 +112,7 @@ class AnnealSchedule:
                 raise ValueError("stage betas must be nondecreasing")
             if sum(lengths) != self.it_max:
                 raise ValueError(f"sum of stage lengths {sum(lengths)} != it_max {self.it_max}")
-            self._stage_bounds = np.cumsum(lengths)
+            self._stage_bounds = list(itertools.accumulate(lengths))
 
     @classmethod
     def exponential(cls, beta_i, beta_f, it_max, gamma=0.0, gamma_f=None):
@@ -123,24 +138,38 @@ class AnnealSchedule:
         if not 0 <= it <= self.it_max:
             raise ValueError(f"iteration {it} outside [0, {self.it_max}]")
 
-    def _stage_index(self, it: int) -> int:
-        # stage n covers iterations [L_{n-1}, L_n); it == it_max maps to the last stage
-        idx = int(np.searchsorted(self._stage_bounds, it, side="right"))
-        return min(idx, len(self.stages) - 1)
+    def values(self, it: int, k: int) -> tuple[list, list]:
+        """(betas, gammas) at the k >= 1 iterations it, ..., it + k - 1; a
+        ValueError when the first or the last is outside [0, it_max]."""
+        self._check_it(it)
+        self._check_it(it + k - 1)
+        if self.mode == "piecewise":
+            # stage n covers iterations [L_{n-1}, L_n); it_max is in the last stage
+            bounds, last = self._stage_bounds, len(self.stages) - 1
+            betas, gammas = [], []
+            while k:
+                stage = min(bisect.bisect_right(bounds, it), last)
+                beta, gamma, _ = self.stages[stage]
+                run = k if stage == last else min(k, bounds[stage] - it)
+                betas += [beta] * run
+                gammas += [gamma] * run
+                it += run
+                k -= run
+            return betas, gammas
+        # it_max = 0 has the one iteration 0, at the initial values
+        fractions = [t / (self.it_max or 1) for t in range(it, it + k)]
+        ratio = self.beta_f / self.beta_i
+        betas = [self.beta_i * ratio ** x for x in fractions]
+        if self.gamma_f is None or self.gamma_f == self.gamma_i:
+            return betas, [self.gamma_i] * k
+        ratio = self.gamma_f / self.gamma_i
+        return betas, [self.gamma_i * ratio ** x for x in fractions]
 
     def beta_at(self, it: int) -> float:
-        self._check_it(it)
-        if self.mode == "piecewise":
-            return self.stages[self._stage_index(it)][0]
-        return self.beta_i * (self.beta_f / self.beta_i) ** (it / self.it_max)
+        return self.values(it, 1)[0][0]
 
     def gamma_at(self, it: int) -> float:
-        self._check_it(it)
-        if self.mode == "piecewise":
-            return self.stages[self._stage_index(it)][1]
-        if self.gamma_f is None or self.gamma_f == self.gamma_i:
-            return self.gamma_i
-        return self.gamma_i * (self.gamma_f / self.gamma_i) ** (it / self.it_max)
+        return self.values(it, 1)[1][0]
 
 
 @dataclass
@@ -259,24 +288,27 @@ class Chain:
     def total_energy(self) -> float:
         return sum(s.energy for s in self.states)
 
-    def propose(self) -> tuple[int, int, float]:
-        """(replica, coordinate, uniform) of this step, drawn in that order.
+    def propose(self) -> tuple[int, int, float, float, float]:
+        """(replica, coordinate, uniform) of this step, drawn in that order,
+        and the schedule's (beta, gamma) at this iteration.
 
         Taken from a block of draw_steps that ends at it_max, so when run()
-        returns the generator is where scalar draws would have left it.
+        returns the generator is where scalar draws would have left it. The
+        block's schedule values are computed before its draws, so a block
+        past it_max raises without moving the generator.
         """
         draw = next(self._draws, None)
         if draw is None:
             k = max(1, min(DRAW_BLOCK, self.schedule.it_max - self.iteration))
-            self._draws = zip(*draw_steps(self.rng, self.ensemble.y, self.ensemble.n, k))
+            betas, gammas = self.schedule.values(self.iteration, k)
+            self._draws = zip(*draw_steps(self.rng, self.ensemble.y, self.ensemble.n, k),
+                              betas, gammas)
             draw = next(self._draws)
         return draw
 
     def step(self) -> bool:
         """One propose/accept cycle; returns True when the flip was accepted."""
-        beta = self.schedule.beta_at(self.iteration)
-        gamma = self.schedule.gamma_at(self.iteration)
-        a, i, u = self.propose()
+        a, i, u, beta, gamma = self.propose()
         delta_e = self.states[a].flip_delta(i)
         delta_h = interaction_delta(self.ensemble, gamma, a, i)
         if self.kernel == "combined":

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def cmd_validate_schedule(args) -> int:
     if args.azencott:
         stages = verify.azencott_stages(args.horizon)
     elif args.stages_file:
-        doc = json.loads(open(args.stages_file).read())
+        doc = json.loads(Path(args.stages_file).read_text())
         stages = [(float(b), float(t)) for b, t in doc]
     else:
         raise SystemExit("provide --stages-file or --azencott")

@@ -77,9 +77,15 @@ class PerceptronEnergy:
         self.odd_mode = data.n % 2 == 1
         # signed patterns theta^mu * xi^mu, so margins are just a matvec
         self._signed = (data.patterns * data.labels[:, None]).astype(np.int64)
-        # row i is 2 theta^mu xi^mu_i over mu: flipping w_i moves every margin by
-        # -w_i times it, contiguous so that a flip reads one row
-        self._flip_rows = np.ascontiguousarray(2 * self._signed.T)
+
+    @functools.cached_property
+    def _flips(self) -> dict:
+        """Flipping w_i adds r = 2 w_i theta^mu xi^mu_i to every q^mu. Keyed by
+        the sign w_i, entry i is (-r, sum r), with -r a contiguous row. Built
+        at the first flip, so that a run without steps does not build it."""
+        moves = np.ascontiguousarray(2 * self._signed.T)
+        return {sign: list(zip(-sign * moves, (sign * moves.sum(axis=1)).tolist()))
+                for sign in (1, -1)}
 
     def margins(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -107,8 +113,10 @@ class PerceptronState:
     """Per-replica cache of q = off - margins, off = 1 for odd N and 0 for even N.
 
     2 R(-m) = max(off - m, 0) in both parities, so twice the energy is the
-    integer max(q, 0).sum() and every delta is exact. flip_delta leaves the
-    flipped q in a scratch row that apply_flip swaps in through `_memo`.
+    integer max(q, 0).sum() and every delta is exact. A flip adds a row r to
+    q, and max(q + r, 0) = r + max(q, -r), so the flipped sum is
+    sum r + sum max(q, -r) without forming q + r. apply_flip takes that sum
+    and -r from `_memo` and adds r to q in place.
     """
 
     def __init__(self, model: PerceptronEnergy, w):
@@ -117,27 +125,25 @@ class PerceptronState:
         self._q = int(model.odd_mode) - model.margins(self.w)
         self._e2 = int(np.maximum(self._q, 0).sum())
         self.energy = self._e2 / 2
-        # scratch rows; a zero row is a cheaper operand for np.maximum than 0
-        self._q_new, self._pos, self._zero = np.zeros((3, self._q.size), dtype=np.int64)
+        self._pos = np.empty_like(self._q)  # scratch row of max(q, -r)
+        # an integer dot with ones sums a row faster than np.add.reduce up to
+        # a few hundred entries: 0.8 against 1.5 us at 30 (numpy 2.4, x86-64)
+        self._ones = np.ones_like(self._q)
         self._memo = None
 
     def flip_delta(self, i: int) -> float:
-        row = self.model._flip_rows[i]
-        if self.w[i] > 0:
-            np.add(self._q, row, out=self._q_new)
-        else:
-            np.subtract(self._q, row, out=self._q_new)
-        np.maximum(self._q_new, self._zero, out=self._pos)
-        e2 = int(np.add.reduce(self._pos))
-        self._memo = (i, e2)
+        minus_r, sum_r = self.model._flips[self.w[i]][i]
+        np.maximum(self._q, minus_r, out=self._pos)
+        e2 = sum_r + int(self._pos.dot(self._ones))
+        self._memo = (i, e2, minus_r)
         return (e2 - self._e2) / 2
 
     def apply_flip(self, i: int) -> float:
         if self._memo is None or self._memo[0] != i:
             self.flip_delta(i)
-        e2 = self._memo[1]
+        _, e2, minus_r = self._memo
         self._memo = None
-        self._q, self._q_new = self._q_new, self._q
+        np.subtract(self._q, minus_r, out=self._q)
         self.w[i] = -self.w[i]
         delta = (e2 - self._e2) / 2
         self._e2 = e2

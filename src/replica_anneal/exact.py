@@ -167,11 +167,16 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
                         kernel: str = "combined") -> np.ndarray:
     """Row-stochastic single-flip kernel on the 2^{Ny} ensembles."""
     _check_size(n, y, MAX_NY_KERNEL)
+    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    return _kernel_matrix(tot_e, fields_table(n, y), n, y, beta, gamma, kernel)
+
+
+def _kernel_matrix(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, beta: float,
+                   gamma: float, kernel: str) -> np.ndarray:
+    """build_kernel_matrix on the instance's total-energy and fields tables,
+    which do not depend on beta or gamma."""
     if kernel not in ("two-stage", "combined"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    energy = energy_table_of(model, n)
-    tot_e = total_energy_table(energy, n, y)
-    fields = fields_table(n, y)
     size = 2 ** (n * y)
     idx = np.arange(size, dtype=np.int64)
     log_cosh = _log_cosh_table(gamma, y)
@@ -374,7 +379,8 @@ def compute_constants(model, n: int, y: int, gamma: float,
     m = compute_elevation_m(model, n, y)
     tot_e = total_energy_table(energy, n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
-    field_term = _field_term(fields_table(n, y), gamma, y)
+    fields = fields_table(n, y)
+    field_term = _field_term(fields, gamma, y)
     qbars = [_normalize_log(-beta * tot_e + field_term) for beta in BETA_GRID]
 
     # kappa1: smallest constant with ||qbar_b1 - qbar_b2||_inf <= kappa1 e^{-b1 B}
@@ -389,7 +395,7 @@ def compute_constants(model, n: int, y: int, gamma: float,
     scaled = []
     for beta, qbar in zip(BETA_GRID, qbars):
         # no name holds the kernel, so it is freed before the next beta's is built
-        _, _, psi = stationary_and_gap(build_kernel_matrix(model, n, y, beta, gamma, kernel),
+        _, _, psi = stationary_and_gap(_kernel_matrix(tot_e, fields, n, y, beta, gamma, kernel),
                                        qbar, swap)
         psi_values.append((float(beta), float(psi)))
         scaled.append(psi * math.exp(beta * m))

@@ -24,10 +24,11 @@ class ReplicaEnsemble:
     the per-coordinate replica field sums.
 
     fields[i] = sum_a sigma_i^a is kept up to date under flips so the
-    log-cosh interaction delta is O(1).
+    log-cosh interaction delta is O(1); `log_cosh` is that delta's table of
+    log cosh(gamma f) at gamma = `log_cosh_gamma`.
     """
 
-    __slots__ = ("states", "fields", "n", "y")
+    __slots__ = ("states", "fields", "n", "y", "log_cosh", "log_cosh_gamma")
 
     def __init__(self, states):
         states = list(states)
@@ -40,6 +41,7 @@ class ReplicaEnsemble:
         self.n = n
         self.y = len(states)
         self.fields = self.recompute_fields()
+        self.log_cosh, self.log_cosh_gamma = [], None
 
     def recompute_fields(self) -> np.ndarray:
         total = np.zeros(self.n, dtype=np.int32)

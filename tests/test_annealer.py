@@ -64,6 +64,20 @@ def test_interaction_delta_matches_recompute(rng):
         assert predicted == pytest.approx(after - before, abs=1e-12)
 
 
+def test_interaction_delta_is_the_direct_difference_as_gamma_changes(rng):
+    # the log-cosh table is kept for one gamma at a time and refilled on a change
+    ens = ReplicaEnsemble.random(_flat(5), 3, rng)
+    for gamma in (0.8, 0.8, 1.7, 0.0, 0.8, 1e-3):
+        for _ in range(20):
+            a, i = int(rng.integers(3)), int(rng.integers(5))
+            f = int(ens.fields[i])
+            f_new = f - 2 * int(ens.states[a].w[i])
+            direct = log_cosh_stable(gamma * f_new) - log_cosh_stable(gamma * f)
+            assert interaction_delta(ens, gamma, a, i) == direct
+            if rng.random() < 0.5:
+                ens.apply_flip(a, i)
+
+
 def test_interaction_delta_zero_at_gamma_zero(rng):
     ens = ReplicaEnsemble.random(_flat(4), 2, rng)
     assert interaction_delta(ens, 0.0, 0, 0) == 0.0
@@ -116,6 +130,13 @@ def test_exponential_schedule_gamma_interpolation():
     assert sched.gamma_at(0) == pytest.approx(0.5)
     assert sched.gamma_at(100) == pytest.approx(8.0)
     assert sched.gamma_at(50) == pytest.approx(2.0)  # geometric midpoint
+    # a block is the one-step formula at each iteration, to the bit
+    betas, gammas = sched.values(0, 101)
+    assert betas == [1.0 * (1.0 / 1.0) ** (t / 100) for t in range(101)]
+    assert gammas == [0.5 * (8.0 / 0.5) ** (t / 100) for t in range(101)]
+    assert sched.values(40, 3) == (betas[40:43], gammas[40:43])
+    with pytest.raises(ValueError):
+        sched.values(99, 3)  # its last iteration is past it_max
 
 
 def test_piecewise_schedule_stage_lookup():
@@ -123,6 +144,9 @@ def test_piecewise_schedule_stage_lookup():
     assert sched.it_max == 5
     assert [sched.beta_at(t) for t in range(6)] == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
     assert sched.gamma_at(4) == 0.5
+    assert sched.values(0, 6) == ([1.0] * 3 + [2.0] * 3, [0.0] * 3 + [0.5] * 3)
+    assert sched.values(2, 2) == ([1.0, 2.0], [0.0, 0.5])
+    assert sched.values(5, 1) == ([2.0], [0.5])
 
 
 def test_schedule_validation_errors():
@@ -162,6 +186,8 @@ def test_schedule_rejects_invalid_values_at_construction(build):
 def test_zero_step_schedule_is_valid(two_state):
     sched = AnnealSchedule.exponential(0.1, 10.0, 0)
     assert Chain(two_state, 2, sched, seed=1).run().iterations == 0
+    # its one iteration, 0, has the initial values
+    assert (sched.beta_at(0), sched.gamma_at(0)) == (0.1, 0.0)
 
 
 def test_azencott_stage_lengths():
@@ -210,6 +236,23 @@ def test_chain_caches_agree_with_recompute(tiny_tabulated):
     assert chain.ensemble.check_fields()
     for state in chain.states:
         assert state.energy == pytest.approx(tiny_tabulated.energy(state.w))
+
+
+@pytest.mark.parametrize("schedule", [
+    AnnealSchedule.exponential(0.5, 5.0, 0, gamma=0.3),
+    AnnealSchedule.exponential(0.5, 5.0, 1, gamma=0.3),
+    # 5000 steps end inside the second draw block
+    AnnealSchedule.exponential(0.5, 5.0, 5000, gamma=0.3, gamma_f=0.9),
+    AnnealSchedule.piecewise([(0.5, 0.0, 3000), (1.0, 0.4, 2000)]),
+], ids=["zero-step", "one-step", "exponential", "piecewise"])
+def test_chain_step_past_it_max_raises(two_state, schedule):
+    # the schedule is defined on [0, it_max], so one step after run() is the last
+    chain = Chain(two_state, 2, schedule, seed=8)
+    chain.run()
+    chain.step()
+    with pytest.raises(ValueError):
+        chain.step()
+    assert chain.iteration == chain.stats.iterations == schedule.it_max + 1
 
 
 def test_chain_rejects_unknown_kernel(two_state):
@@ -280,6 +323,7 @@ def test_draw_steps_needs_a_philox_rng():
 def _pinned_chains():
     perceptron = PerceptronEnergy(generate_synthetic(count=16, dim=11, seed=3))
     perceptron_sched = AnnealSchedule.exponential(0.1, 1.0, 5000, gamma=0.5)
+    even_perceptron = PerceptronEnergy(generate_synthetic(count=16, dim=10, seed=4))
     gen = make_rng(6)
     classifier = ClassifierDataset(gen.random((24, 3)), gen.integers(0, 3, 24), 3)
     pix = make_rng(7)
@@ -307,6 +351,18 @@ def _pinned_chains():
         "tabulated-one-spin": Chain(fixtures.two_state(), 3,
                                     AnnealSchedule.exponential(0.2, 5.0, 5000, gamma=0.7),
                                     seed=35),
+        # gamma_f set: gamma changes at every step
+        "perceptron-gamma-interpolated": Chain(
+            perceptron, 3, AnnealSchedule.exponential(0.1, 1.0, 5000, gamma=0.2, gamma_f=2.0),
+            seed=37),
+        # stage boundaries at 1500 and 3500 fall inside the first 4096-step
+        # block and 4500 inside the second; gamma goes 0 -> 0.8 -> 0.3 -> 0
+        "perceptron-piecewise": Chain(
+            perceptron, 3, AnnealSchedule.piecewise(
+                [(0.2, 0.0, 1500), (0.5, 0.8, 2000), (1.0, 0.3, 1000), (2.0, 0.0, 500)]),
+            seed=38),
+        # even N: off = 0 in q = off - margins, and zero margins occur
+        "perceptron-even-n": Chain(even_perceptron, 3, perceptron_sched, seed=39),
     }
 
 
@@ -322,6 +378,10 @@ PINNED_TRAJECTORIES = {
                              0.9069086783116378),
     "perceptron-one-replica": (3148, "3ad30f3de3d58ccf", [3.0], 0.6208560316548304),
     "tabulated-one-spin": (1484, "75c8fd04ad916aec", [0.0, 0.0, 0.0], 0.5007689804190346),
+    "perceptron-gamma-interpolated": (2135, "d1903f2bb799afc7", [2.0, 2.0, 2.0],
+                                      0.9473903983182277),
+    "perceptron-piecewise": (2088, "5c8152e9b2fc0276", [2.0, 4.0, 5.0], 0.9955269516939377),
+    "perceptron-even-n": (2759, "a6ec67ebe89ea565", [5.0, 2.0, 3.0], 0.9743010786048214),
 }
 
 

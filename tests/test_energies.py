@@ -81,7 +81,7 @@ def test_perceptron_state_delta_matches_recompute(small_patterns, rng):
 
 @pytest.mark.parametrize("dim", [11, 10])
 def test_perceptron_apply_flip_exact_after_another_delta(dim, rng):
-    # flip_delta(j) overwrites the scratch row that flip_delta(i) left for apply_flip(i)
+    # flip_delta(j) replaces the memo that flip_delta(i) left for apply_flip(i)
     model = PerceptronEnergy(generate_synthetic(count=9, dim=dim, seed=4))
     state = model.make_state(rng.integers(0, 2, size=dim).astype(np.int8) * 2 - 1)
     for _ in range(40):
