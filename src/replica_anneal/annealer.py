@@ -284,10 +284,6 @@ class Chain:
         self.stats = RunStats()
         self._draws = iter(())
 
-    @property
-    def total_energy(self) -> float:
-        return sum(s.energy for s in self.states)
-
     def propose(self) -> tuple[int, int, float, float, float]:
         """(replica, coordinate, uniform) of this step, drawn in that order,
         and the schedule's (beta, gamma) at this iteration.

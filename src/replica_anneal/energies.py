@@ -55,10 +55,6 @@ class PatternSet:
     def n(self) -> int:
         return self.patterns.shape[1]
 
-    @property
-    def alpha(self) -> float:
-        return self.m / self.n
-
 
 def generate_synthetic(count: int = 30, dim: int = 100, seed: int = 0) -> PatternSet:
     """Uniform random patterns with uniform +-1 labels, deterministic per seed."""
@@ -66,6 +62,10 @@ def generate_synthetic(count: int = 30, dim: int = 100, seed: int = 0) -> Patter
     patterns = rng.integers(0, 2, size=(count, dim)).astype(np.int8) * 2 - 1
     labels = rng.integers(0, 2, size=count).astype(np.int8) * 2 - 1
     return PatternSet(patterns, labels)
+
+
+# thresholds of the two pattern bitmasks a PerceptronState keeps, as a column
+_MASK_LEVELS = np.array([[0], [2]])
 
 
 class PerceptronEnergy:
@@ -79,13 +79,19 @@ class PerceptronEnergy:
         self._signed = (data.patterns * data.labels[:, None]).astype(np.int64)
 
     @functools.cached_property
-    def _flips(self) -> dict:
-        """Flipping w_i adds r = 2 w_i theta^mu xi^mu_i to every q^mu. Keyed by
-        the sign w_i, entry i is (-r, sum r), with -r a contiguous row. Built
-        at the first flip, so that a run without steps does not build it."""
+    def _moves(self) -> tuple:
+        """Flipping w_i adds r = 2 w_i theta^mu xi^mu_i, each +2 or -2, to
+        every q^mu. Entry [w_i][i] is (up, down, r): the bitmasks, bit mu for
+        pattern mu, of the patterns where r is +2 and where it is -2, and r as
+        a row. Indexed by the sign w_i, so entry 0 is unused. Built at the
+        first flip, so that a run without steps does not build it."""
         moves = np.ascontiguousarray(2 * self._signed.T)
-        return {sign: list(zip(-sign * moves, (sign * moves.sum(axis=1)).tolist()))
-                for sign in (1, -1)}
+        raised = np.packbits(moves > 0, axis=1, bitorder="little")
+        everything = (1 << self.data.m) - 1
+        up = [int.from_bytes(row, "little") for row in raised]
+        return (None,
+                [(u, everything ^ u, r) for u, r in zip(up, moves)],
+                [(everything ^ u, u, -r) for u, r in zip(up, moves)])
 
     def margins(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -112,42 +118,48 @@ class PerceptronEnergy:
 class PerceptronState:
     """Per-replica cache of q = off - margins, off = 1 for odd N and 0 for even N.
 
-    2 R(-m) = max(off - m, 0) in both parities, so twice the energy is the
-    integer max(q, 0).sum() and every delta is exact. A flip adds a row r to
-    q, and max(q + r, 0) = r + max(q, -r), so the flipped sum is
-    sum r + sum max(q, -r) without forming q + r. apply_flip takes that sum
-    and -r from `_memo` and adds r to q in place.
+    2 R(-m) = max(off - m, 0) in both parities, so the energy is
+    max(q, 0).sum() / 2. Every q^mu is even: a margin is a sum of N terms
+    +-1, odd for odd N, where off = 1, and even for even N, where off = 0.
+    A flip adds r^mu = +-2 to each q^mu, so max(q + r, 0) - max(q, 0) is +2
+    where r = +2 and q >= 0, -2 where r = -2 and q >= 2, and 0 elsewhere.
+    The energy change is therefore |up & G0| - |down & G2|, with the
+    pattern bitmasks G0 = {q >= 0}, G2 = {q >= 2} kept here and up, down
+    the patterns the flip raises and lowers; two AND-popcounts on Python
+    ints, exact. apply_flip adds r to q in place and rebuilds both masks.
     """
 
     def __init__(self, model: PerceptronEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
         self._q = int(model.odd_mode) - model.margins(self.w)
-        self._e2 = int(np.maximum(self._q, 0).sum())
-        self.energy = self._e2 / 2
-        self._pos = np.empty_like(self._q)  # scratch row of max(q, -r)
-        # an integer dot with ones sums a row faster than np.add.reduce up to
-        # a few hundred entries: 0.8 against 1.5 us at 30 (numpy 2.4, x86-64)
-        self._ones = np.ones_like(self._q)
+        self.energy = int(np.maximum(self._q, 0).sum()) / 2
+        self._set_masks()
         self._memo = None
 
+    def _set_masks(self):
+        """G0 and G2 from q: bit mu of the packed (2, M) comparison is q^mu >= 0
+        and bit M + mu is q^mu >= 2."""
+        m = self._q.size
+        both = int.from_bytes(np.packbits(np.greater_equal(self._q, _MASK_LEVELS),
+                                          bitorder="little"), "little")
+        self._g0, self._g2 = both & ((1 << m) - 1), both >> m
+
     def flip_delta(self, i: int) -> float:
-        minus_r, sum_r = self.model._flips[self.w[i]][i]
-        np.maximum(self._q, minus_r, out=self._pos)
-        e2 = sum_r + int(self._pos.dot(self._ones))
-        self._memo = (i, e2, minus_r)
-        return (e2 - self._e2) / 2
+        up, down, r = self.model._moves[self.w[i]][i]
+        delta = float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
+        self._memo = (i, delta, r)
+        return delta
 
     def apply_flip(self, i: int) -> float:
         if self._memo is None or self._memo[0] != i:
             self.flip_delta(i)
-        _, e2, minus_r = self._memo
+        _, delta, r = self._memo
         self._memo = None
-        np.subtract(self._q, minus_r, out=self._q)
+        self._q += r
+        self._set_masks()
         self.w[i] = -self.w[i]
-        delta = (e2 - self._e2) / 2
-        self._e2 = e2
-        self.energy = e2 / 2
+        self.energy += delta
         return delta
 
 
@@ -410,11 +422,6 @@ class TabulatedEnergy:
         w = as_spins(w)
         bits = (w > 0).astype(np.int64)
         return int(bits @ (1 << np.arange(w.size, dtype=np.int64)))
-
-    @staticmethod
-    def config_of(idx: int, n: int) -> np.ndarray:
-        bits = (idx >> np.arange(n)) & 1
-        return bits.astype(np.int8) * 2 - 1
 
     def energy(self, w) -> float:
         return float(self.table[self.index_of(w)])

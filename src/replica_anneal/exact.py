@@ -105,11 +105,6 @@ def folded_log_weights(energy: np.ndarray, n: int, y: int, beta: float, gamma: f
     return -beta * total_energy_table(energy, n, y) + _field_term(fields_table(n, y), gamma, y)
 
 
-def mu0(n: int, y: int, gamma: float) -> np.ndarray:
-    """The beta-free interaction measure mu_0 on ensembles."""
-    return _normalize_log(_field_term(fields_table(n, y), gamma, y))
-
-
 def _center_scores(gamma_fields: np.ndarray, n: int) -> np.ndarray:
     """(rows, 2^n) matrix of <gamma f, sigma> over the configurations sigma.
 
@@ -458,7 +453,7 @@ def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     tot_e = total_energy_table(energy_table_of(model, n), n, y)
     fields = fields_table(n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
-    # folded_log_weights and mu0 on the one pair of tables
+    # qbar's folded log weights and mu_0 on the one pair of tables
     field_term = _field_term(fields, gamma, y)
     qbar = _normalize_log(-BETA_LARGE * tot_e + field_term)
     mass_outside = float(1.0 - qbar[n0].sum())

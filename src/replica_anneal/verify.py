@@ -16,7 +16,6 @@ import numpy as np
 
 from . import exact, fixtures
 from .annealer import AnnealSchedule, Chain, make_rng
-from .energies import TabulatedEnergy
 
 
 def _report(name, passed, **details):
@@ -196,8 +195,9 @@ def suite_monte_carlo() -> dict:
     chain = Chain(model, y, schedule, kernel="combined", seed=7)
 
     def ensemble_index():
-        # replica a's spin i is bit a*N + i, the ordering of exact.replica_states
-        return TabulatedEnergy.index_of(np.concatenate([s.w for s in chain.states]))
+        # replica a's spin i is bit a*N + i, the ordering of exact.replica_states,
+        # and each TabulatedState keeps its replica's index, bit i for spin i
+        return sum(s._idx << (a * n) for a, s in enumerate(chain.states))
 
     counts = np.zeros(2 ** (n * y))
     idx = ensemble_index()

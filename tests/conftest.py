@@ -24,6 +24,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def config_of(idx: int, n: int) -> np.ndarray:
+    """The spins of configuration idx: bit i of idx is 1 iff spin i is +1."""
+    bits = (idx >> np.arange(n)) & 1
+    return bits.astype(np.int8) * 2 - 1
+
+
 @pytest.fixture
 def rng():
     return make_rng(20240817)

@@ -179,7 +179,7 @@ def test_criterion_10_reduction_to_classical_sa():
         lib_traj = []
         while chain.iteration < it_max:
             chain.step()
-            lib_traj.append(chain.total_energy)
+            lib_traj.append(sum(s.energy for s in chain.states))
         ref_w, ref_traj, ref_accepted = classical_sa(
             model.energy, model.n_spins, schedule.beta_at, it_max, seed)
         identical &= lib_traj == ref_traj

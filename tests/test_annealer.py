@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,32 @@ def test_block_draw_trajectories_are_pinned(name):
     spins = np.concatenate([s.w for s in chain.states])
     assert (chain.stats.active_transitions, hashlib.sha256(spins.tobytes()).hexdigest()[:16],
             [s.energy for s in chain.states], chain.rng.random()) == PINNED_TRAJECTORIES[name]
+
+
+def test_integer_pins_hold_under_reduced_numpy_dispatch():
+    """The perceptron and tabulated pins and criterion 10 do not depend on
+    numpy's SIMD dispatch: they rerun in a subprocess with every dispatch
+    target that this host supports above numpy's baseline switched off
+    (NPY_DISABLE_CPU_FEATURES). The cross-entropy pins are left out: their
+    exp and log1p loops round differently per target."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    disable = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not disable:
+        pytest.skip("numpy dispatches nothing above its baseline on this host")
+    tests = Path(__file__).parent
+    node_ids = [f"{tests / 'test_annealer.py'}::test_block_draw_trajectories_are_pinned[{name}]"
+                for name in PINNED_TRAJECTORIES if not name.startswith("cross-entropy")]
+    node_ids.append(f"{tests / 'test_acceptance.py'}::test_criterion_10_reduction_to_classical_sa")
+    script = ("import sys, pytest\n"
+              f"from {umath.__name__} import __cpu_features__ as on\n"
+              f"assert not any(on[f] for f in {disable!r}), 'dispatch not reduced'\n"
+              "sys.exit(pytest.main(sys.argv[1:]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *node_ids],
+        cwd=tests.parent, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disable)},
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert f"{len(node_ids)} passed" in done.stdout

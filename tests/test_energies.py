@@ -16,6 +16,8 @@ from replica_anneal.energies import (
     rectified_margin,
 )
 
+from conftest import config_of
+
 
 def test_rectified_margin_modes():
     # odd N: R(x) = ((x+1)/2) Theta(x); even N: R(x) = (x/2) Theta(x)
@@ -33,7 +35,7 @@ def test_pattern_set_validation():
     with pytest.raises(DimensionError):
         PatternSet(np.array([[1, 2]]), np.array([1]))
     ps = PatternSet(np.array([[1, -1], [-1, 1]]), np.array([1, -1]))
-    assert ps.m == 2 and ps.n == 2 and ps.alpha == 1.0
+    assert ps.m == 2 and ps.n == 2
 
 
 def test_generate_synthetic_deterministic():
@@ -65,36 +67,41 @@ def test_perceptron_accuracy_zero_loss_convention():
 
 
 def test_perceptron_state_delta_matches_recompute(small_patterns, rng):
-    model = PerceptronEnergy(small_patterns)
-    w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
-    state = model.make_state(w)
-    for _ in range(60):
-        i = int(rng.integers(model.n_spins))
-        predicted = state.flip_delta(i)
-        w2 = state.w.copy()
-        w2[i] = -w2[i]
-        assert predicted == pytest.approx(model.energy(w2) - model.energy(state.w))
-        state.apply_flip(i)
-        # perceptron deltas are exact integers: no drift at all
-        assert state.energy == model.energy(state.w)
+    # the pattern bitmasks span one or more 64-bit words; odd and even N
+    instances = [small_patterns] + [generate_synthetic(count=m, dim=n, seed=m + n)
+                                     for m, n in [(63, 7), (64, 8), (65, 9), (200, 51), (200, 50)]]
+    for patterns in instances:
+        model = PerceptronEnergy(patterns)
+        w = rng.integers(0, 2, size=model.n_spins).astype(np.int8) * 2 - 1
+        state = model.make_state(w)
+        for _ in range(60):
+            i = int(rng.integers(model.n_spins))
+            predicted = state.flip_delta(i)
+            w2 = state.w.copy()
+            w2[i] = -w2[i]
+            assert predicted == model.energy(w2) - model.energy(state.w)
+            state.apply_flip(i)
+            # perceptron deltas are exact integers: no drift at all
+            assert state.energy == model.energy(state.w)
 
 
 @pytest.mark.parametrize("dim", [11, 10])
 def test_perceptron_apply_flip_exact_after_another_delta(dim, rng):
     # flip_delta(j) replaces the memo that flip_delta(i) left for apply_flip(i)
-    model = PerceptronEnergy(generate_synthetic(count=9, dim=dim, seed=4))
-    state = model.make_state(rng.integers(0, 2, size=dim).astype(np.int8) * 2 - 1)
-    for _ in range(40):
-        i, j = (int(v) for v in rng.integers(dim, size=2))
-        w2 = state.w.copy()
-        w2[i] = -w2[i]
-        expected = model.energy(w2) - model.energy(state.w)
-        state.flip_delta(i)
-        state.flip_delta(j)
-        assert state.apply_flip(i) == expected
-        assert np.array_equal(state.w, w2)
-        assert state.energy == model.energy(w2)
-        assert state.flip_delta(i) == -expected
+    for count in (9, 63, 64, 65, 200):
+        model = PerceptronEnergy(generate_synthetic(count=count, dim=dim, seed=4))
+        state = model.make_state(rng.integers(0, 2, size=dim).astype(np.int8) * 2 - 1)
+        for _ in range(40):
+            i, j = (int(v) for v in rng.integers(dim, size=2))
+            w2 = state.w.copy()
+            w2[i] = -w2[i]
+            expected = model.energy(w2) - model.energy(state.w)
+            state.flip_delta(i)
+            state.flip_delta(j)
+            assert state.apply_flip(i) == expected
+            assert np.array_equal(state.w, w2)
+            assert state.energy == model.energy(w2)
+            assert state.flip_delta(i) == -expected
 
 
 def _toy_classifier(seed=0, n=12, d=5, k=3):
@@ -372,7 +379,7 @@ def test_classifier_dataset_refuses_nan_features(where):
 def test_tabulated_energy_index_round_trip():
     model = TabulatedEnergy([0.0, 1.0, 2.0, 3.0], n=2)
     for idx in range(4):
-        cfg = TabulatedEnergy.config_of(idx, 2)
+        cfg = config_of(idx, 2)
         assert TabulatedEnergy.index_of(cfg) == idx
         assert model.energy(cfg) == float(idx)
 
@@ -394,6 +401,6 @@ def test_tabulated_flip_is_xor_on_indices(idx, i):
     n = 6
     table = np.arange(2**n, dtype=float)
     model = TabulatedEnergy(table, n=n)
-    state = model.make_state(TabulatedEnergy.config_of(idx, n))
+    state = model.make_state(config_of(idx, n))
     state.apply_flip(i)
     assert TabulatedEnergy.index_of(state.w) == idx ^ (1 << i)

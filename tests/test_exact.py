@@ -9,13 +9,16 @@ from replica_anneal.annealer import accept_combined, accept_two_stage, interacti
 from replica_anneal.energies import PerceptronEnergy, TabulatedEnergy, generate_synthetic
 from replica_anneal.spins import ReplicaEnsemble
 
+from conftest import config_of
 from reference_elevation import elevation_m_bruteforce
 
 
 def test_enumerate_qbar_flat_energy_equals_mu0():
     model = TabulatedEnergy([0.0, 0.0, 0.0, 0.0], n=2)
     direct, folded, _ = exact.enumerate_qbar(model, 2, 2, beta=1.3, gamma=0.9)
-    mu = exact.mu0(2, 2, 0.9)
+    # mu_0, the beta-free interaction measure: proportional to prod_i cosh(gamma f_i)
+    weights = np.cosh(0.9 * exact.fields_table(2, 2)).prod(axis=1)
+    mu = weights / weights.sum()
     assert np.allclose(direct, mu, atol=1e-12)
     assert np.allclose(folded, mu, atol=1e-12)
 
@@ -102,7 +105,7 @@ def test_chain_moves_match_exact_kernel(kernel, instance):
     accept = accept_combined if kernel == "combined" else accept_two_stage
     k_mat = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
     for s in range(2 ** (n * y)):
-        ens = ReplicaEnsemble([model.make_state(TabulatedEnergy.config_of(s >> (a * n), n))
+        ens = ReplicaEnsemble([model.make_state(config_of(s >> (a * n), n))
                                for a in range(y)])
         for a in range(y):
             for i in range(n):
@@ -465,5 +468,5 @@ def test_fields_table_matches_per_ensemble_sums(n, y):
     fields = exact.fields_table(n, y)
     assert fields.dtype == np.int64 and fields.shape == (2 ** (n * y), n)
     for s in range(2 ** (n * y)):
-        replicas = [TabulatedEnergy.config_of(s >> (a * n), n) for a in range(y)]
+        replicas = [config_of(s >> (a * n), n) for a in range(y)]
         assert fields[s].tolist() == np.sum(replicas, axis=0).tolist()
