@@ -210,58 +210,50 @@ def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
     So with m the number of ranges above 1 and b0 the buffer flag at the start
     of a block, step s's uniform is word ((s+1) m + 1 - b0) // 2 + s of the
     block. The other words' halves, low then high, follow the buffered half
-    (if b0); step s takes halves[s m:(s+1) m], and after j steps the buffer
-    holds halves[j m] exactly when b0 + 2 ((j m + 1 - b0) // 2) > j m.
+    (if b0); step s takes halves[s m:(s+1) m], and after the k steps the
+    buffer holds halves[k m] exactly when b0 + 2 ((k m + 1 - b0) // 2) > k m.
 
-    The block takes its words in one random_raw call. A step that would draw
-    again (about 1e-8 per draw for ranges near 10) ends the block: the state
-    is restored, moved past the steps before it, and that step alone is drawn
+    The block takes its words in one random_raw call, for k >= 1. If any of
+    its steps would draw again (about 1e-8 per draw for ranges near 10), the
+    state saved at the block's start is restored and the whole block is drawn
     with scalar calls.
     """
     bit_generator = getattr(rng, "bit_generator", None)
     if not isinstance(bit_generator, np.random.Philox):
         raise TypeError("draw_steps needs a numpy Generator over Philox (see make_rng)")
-    assert 1 <= y < 2**32 and 1 <= n < 2**32, "ranges must lie in [1, 2^32)"
+    assert k >= 1 and 1 <= y < 2**32 and 1 <= n < 2**32, "need k >= 1 and ranges in [1, 2^32)"
     m = (y > 1) + (n > 1)
-    redraw_below = [(2**32 - r) % r for r in (y, n)]
-    a, i, u = [], [], []
-    while k > 0:
-        state = bit_generator.state
-        b0 = state["has_uint32"]
-        steps = np.arange(k)
-        uniform_at = ((steps + 1) * m + 1 - b0) // 2 + steps
-        words = bit_generator.random_raw(int(uniform_at[-1]) + 1)
-        # half-word g is word g + (2 g + b0) // m, after the uniforms of the
-        # steps whose halves end before it (no half-words when m = 0)
-        half_at = np.arange(words.size - k)
-        half_at += (2 * half_at + b0) // max(m, 1)
-        # entry 0 stands for the last half-word drawn before: its high half is the buffer
-        half_words = np.empty(half_at.size + 1, dtype=np.uint64)
-        half_words[0] = state["uinteger"] << 32
-        words.take(half_at, out=half_words[1:])
-        halves = half_words.astype("<u8", copy=False).view("<u4")[2 - b0:]  # low, then high
-        columns = iter(halves[:k * m].reshape(k, m).T)
-        scaled_a, scaled_i = [next(columns) * np.uint64(r) if r > 1
-                              else np.zeros(k, dtype=np.uint64) for r in (y, n)]
-        redraw = np.flatnonzero(((scaled_a & _LOW32) < redraw_below[0])
-                                | ((scaled_i & _LOW32) < redraw_below[1]))
-        j = int(redraw[0]) if redraw.size else k
-        a += (scaled_a[:j] >> 32).tolist()
-        i += (scaled_i[:j] >> 32).tolist()
-        u += ((words[uniform_at[:j]] >> 11) * (1.0 / 9007199254740992.0)).tolist()
-        used = (j * m + 1 - b0) // 2  # half-words taken by the first j steps
-        if j < k:
-            bit_generator.state = state
-            bit_generator.random_raw(used + j)
-        bit_generator.state = {**bit_generator.state, "has_uint32": int(b0 + 2 * used > j * m),
-                               "uinteger": int(half_words[used] >> 32)}
-        k -= j
-        if k:  # step j draws again
+    state = bit_generator.state
+    b0 = state["has_uint32"]
+    steps = np.arange(k)
+    uniform_at = ((steps + 1) * m + 1 - b0) // 2 + steps
+    words = bit_generator.random_raw(int(uniform_at[-1]) + 1)
+    # half-word g is word g + (2 g + b0) // m, after the uniforms of the
+    # steps whose halves end before it (no half-words when m = 0)
+    half_at = np.arange(words.size - k)
+    half_at += (2 * half_at + b0) // max(m, 1)
+    # entry 0 stands for the last half-word drawn before: its high half is the buffer
+    half_words = np.empty(half_at.size + 1, dtype=np.uint64)
+    half_words[0] = state["uinteger"] << 32
+    words.take(half_at, out=half_words[1:])
+    halves = half_words.astype("<u8", copy=False).view("<u4")[2 - b0:]  # low, then high
+    columns = iter(halves[:k * m].reshape(k, m).T)
+    scaled_a, scaled_i = [next(columns) * np.uint64(r) if r > 1
+                          else np.zeros(k, dtype=np.uint64) for r in (y, n)]
+    if (((scaled_a & _LOW32) < (2**32 - y) % y)
+            | ((scaled_i & _LOW32) < (2**32 - n) % n)).any():
+        bit_generator.state = state
+        a, i, u = [], [], []
+        for _ in range(k):
             a.append(int(rng.integers(y)))
             i.append(int(rng.integers(n)))
             u.append(rng.random())
-            k -= 1
-    return a, i, u
+        return a, i, u
+    used = (k * m + 1 - b0) // 2  # half-words taken by the k steps
+    bit_generator.state = {**bit_generator.state, "has_uint32": int(b0 + 2 * used > k * m),
+                           "uinteger": int(half_words[used] >> 32)}
+    return ((scaled_a >> 32).tolist(), (scaled_i >> 32).tolist(),
+            ((words[uniform_at] >> 11) * (1.0 / 9007199254740992.0)).tolist())
 
 
 class Chain:

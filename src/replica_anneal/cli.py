@@ -9,8 +9,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import exact, verify
 from .data_io import ExperimentConfig, _parse_seed, write_results
 from .experiments import build_schedule, robustness_eval, sweep_beta, sweep_gamma, train_run
@@ -34,7 +32,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _emit(records, args):
     if args.out:
-        write_results(records, args.out, fmt=args.format)
+        write_results(records, args.out)
     else:
         for rec in records:
             print(json.dumps(dataclasses.asdict(rec), sort_keys=True))
@@ -82,7 +80,7 @@ def cmd_robustness(args) -> int:
 
 def cmd_exact_verify(args) -> int:
     report = verify.run_suites(args.suite or None)
-    print(json.dumps(report, indent=2, default=_json_default))
+    print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 
 
@@ -106,14 +104,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="replica-anneal")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def records(p):
         p.add_argument("--out", help="result file path")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     def sweep(p):
         common(p)

@@ -228,34 +228,23 @@ def _fmt(value):
         return ""
     if isinstance(value, list):  # seed entropy, written base/point/rep
         return "/".join(str(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return str(value)  # a float's str is its repr: the shortest text that reads back as it
 
 
-def write_results(records, path, fmt: str = "csv") -> None:
+def write_results(records, path) -> None:
     path = Path(path)
-    if fmt == "csv":
-        new_file = not path.exists() or path.stat().st_size == 0
-        if not new_file:
-            with open(path, newline="") as fh:
-                header = next(csv.reader(fh), [])
-            if header != RESULT_COLUMNS:
-                raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
-        with open(path, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(RESULT_COLUMNS)
-            for rec in records:
-                writer.writerow([_fmt(getattr(rec, col)) for col in RESULT_COLUMNS])
-    elif fmt == "jsonl":
-        with open(path, "a") as fh:
-            for rec in records:
-                doc = dataclasses.asdict(rec)
-                doc = {k: (round(v, 10) if isinstance(v, float) else v) for k, v in doc.items()}
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    new_file = not path.exists() or path.stat().st_size == 0
+    if not new_file:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header != RESULT_COLUMNS:
+            raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh)
+        if new_file:
+            writer.writerow(RESULT_COLUMNS)
+        for rec in records:
+            writer.writerow([_fmt(getattr(rec, col)) for col in RESULT_COLUMNS])
 
 
 def _parse_seed(text: str):
@@ -268,20 +257,11 @@ _PARSERS = {"run_id": str, "config_hash": str, "seed": _parse_seed, "replicas": 
 _OPTIONAL = ("test_loss", "test_accuracy", "mean_train_loss", "mean_train_accuracy")
 
 
-def read_results(path, fmt: str = "csv"):
-    path = Path(path)
+def read_results(path):
     records = []
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                records.append(ResultRecord(**{
-                    col: None if col in _OPTIONAL and not text else _PARSERS.get(col, float)(text)
-                    for col, text in row.items()}))
-    elif fmt == "jsonl":
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(ResultRecord(**json.loads(line)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            records.append(ResultRecord(**{
+                col: None if col in _OPTIONAL and not text else _PARSERS.get(col, float)(text)
+                for col, text in row.items()}))
     return records

@@ -95,7 +95,6 @@ class TrainOutcome:
     best_weights: np.ndarray
     chain: Chain
     model: object
-    test_dataset: ClassifierDataset | None = None
 
 
 def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> TrainOutcome:
@@ -129,8 +128,7 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
         mean_train_loss=float(np.mean(losses)), mean_train_accuracy=float(np.mean(accs)),
         active_transitions=stats.active_transitions, iterations=stats.iterations,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
-    return TrainOutcome(record=record, best_weights=best_w, chain=chain,
-                        model=model, test_dataset=test)
+    return TrainOutcome(record=record, best_weights=best_w, chain=chain, model=model)
 
 
 @dataclass
@@ -180,11 +178,9 @@ class SweepPoint:
     records: list = field(default_factory=list)
 
 
-def _one_sweep_run(args):
-    config_doc, seed_entropy, run_id = args
-    config = ExperimentConfig.from_dict(config_doc)
-    outcome = train_run(config, seed=seed_entropy, run_id=run_id)
-    return outcome.record
+def _one_sweep_run(task) -> ResultRecord:
+    config, seed_entropy, run_id = task
+    return train_run(config, seed=seed_entropy, run_id=run_id).record
 
 
 def _aggregate(label, records) -> SweepPoint:
@@ -204,20 +200,16 @@ def _aggregate(label, records) -> SweepPoint:
 
 def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
               jobs: int = 1) -> list[SweepPoint]:
-    """points: list of dicts of schedule/config overrides; seeds are derived
-    from (base seed, point index, repetition) so order does not matter."""
+    """points: list of {"schedule": overrides}; seeds are derived from
+    (base seed, point index, repetition) so order does not matter."""
     if repetitions < 1 or jobs < 1:
         raise ValueError(f"a sweep needs a repetition and a job, got {repetitions} and {jobs}")
     tasks = []
     for p_idx, overrides in enumerate(points):
-        doc = base.to_dict()
-        doc["schedule"] = dict(doc["schedule"], **overrides.get("schedule", {}))
-        for key, value in overrides.items():
-            if key != "schedule":
-                doc[key] = value
+        config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})
         for rep in range(repetitions):
             entropy = spawn_seed(base.seed, p_idx, rep).entropy
-            tasks.append((doc, entropy, f"sweep-{p_idx}-{rep}"))
+            tasks.append((config, entropy, f"sweep-{p_idx}-{rep}"))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_one_sweep_run, tasks))

@@ -310,9 +310,11 @@ def test_draw_steps_match_scalar_draws(y, n, halves_before, k):
     assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
 
 
-@pytest.mark.parametrize("y, n", [(10, 100), (1, 25), (4, 1), (1, 1), (2**31 + 1, 3 * 2**30)])
+@pytest.mark.parametrize("y, n", [(10, 100), (1, 25), (4, 1), (1, 1), (3, 10**6),
+                                  (2**31 + 1, 3 * 2**30)])
 def test_chained_draw_blocks_match_scalar_draws(y, n):
-    # blocks of odd and even length move the buffered half in and out
+    # blocks of odd and even length move the buffered half in and out; at
+    # n = 10^6 short blocks are drawn vectorised and long ones often fall back
     block, scalar = make_rng(12), make_rng(12)
     for k in (1, 2, 3, 50, 9, 4000, 5):
         assert draw_steps(block, y, n, k) == _scalar_steps(scalar, y, n, k)

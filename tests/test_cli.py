@@ -57,7 +57,8 @@ def test_desk_scale_cap(tmp_path):
         assert "--full-scale" in str(err.value)
 
 
-@pytest.mark.parametrize("argv", [["train", "--jobs", "2"], ["robustness", "--out", "r.csv"]])
+@pytest.mark.parametrize("argv", [["train", "--jobs", "2"], ["robustness", "--out", "r.csv"],
+                                  ["train", "--format", "jsonl"]])
 def test_commands_refuse_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)

@@ -181,7 +181,7 @@ def test_sweep_gamma_jobs_match_serial():
 
 def test_sweep_row_reruns_from_its_csv(tmp_path):
     cfg = _small_config()
-    points = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
+    points = sweep_gamma(cfg, [0.0, 1 / 3], repetitions=2)
     path = tmp_path / "sweep.csv"
     write_results([r for p in points for r in p.records], path)
     rows = read_results(path)
