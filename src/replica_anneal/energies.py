@@ -326,8 +326,8 @@ class CrossEntropyState:
     -2 W_kj class_sums[k, j].
 
     The delta sums the shifts in the order of a sum over all n samples: they
-    are scattered into a zero row of length n, summed there and zeroed
-    again. A zero sample's shift is exactly +0.0 in the all-samples sum, so
+    are scattered into a fresh zero row of length n and summed there. A
+    zero sample's shift is exactly +0.0 in the all-samples sum, so
     the delta is the same double, whatever the sparsity.
 
     `_lse` is updated additively. In terms of the exp-mass Z = exp(lse), a
@@ -342,8 +342,6 @@ class CrossEntropyState:
     def __init__(self, model: CrossEntropyEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
-        # flip_delta scatters into this row and zeroes it again
-        self._spread = np.zeros(model.dataset.n)
         self._memo = None
         self._n_applied = 0
         self._refresh()
@@ -373,10 +371,9 @@ class CrossEntropyState:
         np.exp(tmp, out=tmp)
         shift -= tmp
         np.log1p(shift, out=shift)
-        self._spread[rows] = shift
-        total = float(self._spread.sum())
-        self._spread[rows] = 0.0
-        delta = total - sign * float(model.class_sums[k, j])
+        spread = np.zeros(model.dataset.n)
+        spread[rows] = shift
+        delta = float(spread.sum()) - sign * float(model.class_sums[k, j])
         # what apply_flip needs, kept so that it gathers nothing again
         self._memo = (i, delta, rows, logit, dcol, lse, shift)
         return delta

@@ -5,7 +5,7 @@ import pytest
 
 from replica_anneal.annealer import make_rng
 from replica_anneal.energies import PatternSet, TabulatedEnergy, generate_synthetic
-from replica_anneal import fixtures
+from replica_anneal import experiments, fixtures
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -28,6 +28,15 @@ def config_of(idx: int, n: int) -> np.ndarray:
     """The spins of configuration idx: bit i of idx is 1 iff spin i is +1."""
     bits = (idx >> np.arange(n)) & 1
     return bits.astype(np.int8) * 2 - 1
+
+
+@pytest.fixture(autouse=True)
+def cold_model_cache():
+    """Each test starts and ends with no built model, so that no result depends
+    on which test built a model before it."""
+    experiments._cached_model.cache_clear()
+    yield
+    experiments._cached_model.cache_clear()
 
 
 @pytest.fixture

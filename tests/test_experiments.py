@@ -1,9 +1,20 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
-from replica_anneal.data_io import ExperimentConfig, read_results, write_results
+from replica_anneal import experiments
+from replica_anneal.data_io import (
+    MAGIC_IMAGES,
+    MAGIC_LABELS,
+    MNIST_FILES,
+    ExperimentConfig,
+    IdxFile,
+    read_results,
+    write_idx,
+    write_results,
+)
 from replica_anneal.energies import PerceptronEnergy, generate_synthetic
 from replica_anneal.experiments import (
     build_dataset,
@@ -24,6 +35,36 @@ def _small_config(**overrides):
         replicas=2, seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _write_mnist(directory, seed=0, n_train=60, n_test=20, side=4):
+    """The four IDX files of a small random MNIST-shaped dataset."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    for prefix, n in (("train", n_train), ("test", n_test)):
+        pixels = gen.integers(0, 256, size=n * side * side) * (gen.random(n * side * side) < 0.3)
+        write_idx(directory / MNIST_FILES[f"{prefix}_images"],
+                  IdxFile(MAGIC_IMAGES, (n, side, side), pixels.astype(np.uint8)))
+        write_idx(directory / MNIST_FILES[f"{prefix}_labels"],
+                  IdxFile(MAGIC_LABELS, (n,), gen.integers(0, 10, size=n).astype(np.uint8)))
+
+
+def _ce_config(directory, **overrides):
+    return _small_config(dataset={"kind": "mnist", "directory": str(directory)},
+                         model={"kind": "cross-entropy"},
+                         schedule={"mode": "exponential", "beta_i": 0.1, "beta_f": 10.0,
+                                   "gamma": 0.0, "it_max": 300}, **overrides)
+
+
+def _count_loads(monkeypatch) -> list:
+    """Patches experiments.load_mnist to record each call's directory."""
+    calls, load = [], experiments.load_mnist
+    monkeypatch.setattr(experiments, "load_mnist",
+                        lambda directory=None: calls.append(directory) or load(directory))
+    return calls
+
+
+def _without_timestamp(points):
+    return [[dataclasses.replace(r, timestamp="") for r in p.records] for p in points]
 
 
 def test_build_dataset_synthetic():
@@ -172,11 +213,7 @@ def test_sweep_gamma_jobs_match_serial():
     cfg = _small_config()
     serial = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=1)
     pooled = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=2)
-
-    def without_timestamp(points):
-        return [[dataclasses.replace(r, timestamp="") for r in p.records] for p in points]
-
-    assert without_timestamp(pooled) == without_timestamp(serial)
+    assert _without_timestamp(pooled) == _without_timestamp(serial)
 
 
 def test_sweep_row_reruns_from_its_csv(tmp_path):
@@ -192,3 +229,80 @@ def test_sweep_row_reruns_from_its_csv(tmp_path):
     assert rerun.config_hash == row.config_hash
     assert rerun.train_loss == row.train_loss
     assert rerun.active_transitions == row.active_transitions
+
+
+def test_ce_sweep_loads_its_dataset_once(tmp_path, monkeypatch):
+    _write_mnist(tmp_path)
+    calls = _count_loads(monkeypatch)
+    points = sweep_gamma(_ce_config(tmp_path), [0.0, 0.5], repetitions=2)
+    assert calls == [str(tmp_path)]
+    assert [len(p.records) for p in points] == [2, 2]
+
+
+def test_rewritten_idx_file_is_loaded_again(tmp_path, monkeypatch):
+    _write_mnist(tmp_path, seed=0)
+    calls = _count_loads(monkeypatch)
+    cfg = _ce_config(tmp_path)
+    first = train_run(cfg).model.dataset.inputs
+    assert train_run(cfg).model.dataset.inputs is first and len(calls) == 1
+    path = tmp_path / MNIST_FILES["train_images"]
+    before = path.stat()
+    _write_mnist(tmp_path, seed=1)  # the same sizes, in the same files
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    second = train_run(cfg).model.dataset.inputs
+    assert len(calls) == 2 and second.shape == first.shape
+    assert not np.array_equal(second, first)
+    assert np.array_equal(second, experiments.load_mnist(tmp_path)[0].inputs)
+
+
+def test_missing_idx_file_is_not_cached(tmp_path):
+    _write_mnist(tmp_path)
+    (tmp_path / MNIST_FILES["test_labels"]).unlink()
+    cfg = _ce_config(tmp_path)
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match="t10k-labels-idx1-ubyte"):
+            train_run(cfg)
+    _write_mnist(tmp_path)
+    assert train_run(cfg).record.test_accuracy is not None
+
+
+@pytest.mark.parametrize("kind", ["perceptron", "cross-entropy"])
+def test_sweep_rows_do_not_depend_on_the_model_cache(kind, tmp_path, monkeypatch):
+    """Rows from a sweep that builds every run's model equal those from one
+    that reuses a model built before it."""
+    _write_mnist(tmp_path)
+    cfg = _small_config() if kind == "perceptron" else _ce_config(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_cached_model", experiments._cached_model.__wrapped__)
+        cold = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
+    train_run(cfg)
+    assert experiments._cached_model.cache_info().currsize == 1
+    warm = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
+    assert experiments._cached_model.cache_info().misses == 1
+    assert _without_timestamp(warm) == _without_timestamp(cold)
+
+
+def test_ce_sweep_jobs_match_serial(tmp_path):
+    _write_mnist(tmp_path)
+    cfg = _ce_config(tmp_path)
+    pooled = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=2)
+    serial = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=1)
+    assert _without_timestamp(pooled) == _without_timestamp(serial)
+
+
+def test_a_built_model_cannot_be_changed(tmp_path):
+    _write_mnist(tmp_path)
+    outcome = train_run(_ce_config(tmp_path))
+    dataset = outcome.model.dataset
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.inputs[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.targets[0] = 1
+    _, test = build_model(_ce_config(tmp_path))
+    with pytest.raises(ValueError, match="read-only"):
+        test.inputs[0, 0] = 0.5
+    data = train_run(_small_config()).model.data
+    with pytest.raises(ValueError, match="read-only"):
+        data.patterns[0, 0] = -data.patterns[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[0] = -data.labels[0]
