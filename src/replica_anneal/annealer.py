@@ -57,10 +57,8 @@ def accept_combined(delta_e: float, delta_h: float, beta: float) -> float:
 
 KERNELS = ("two-stage", "combined")
 
-# most steps drawn per call of draw_steps in Chain.propose
+# steps drawn per call of draw_steps in Chain.propose
 DRAW_BLOCK = 4096
-# the largest share of blocks that should fall back to scalar draws
-FALLBACK_SHARE = 0.03
 _LOW32 = 0xFFFFFFFF
 
 
@@ -258,22 +256,11 @@ def draw_steps(rng, y: int, n: int, k: int) -> tuple[list, list, list]:
             ((words[uniform_at] >> 11) * (1.0 / 9007199254740992.0)).tolist())
 
 
-def draw_block(y: int, n: int) -> int:
-    """Steps per draw_steps block for ranges y and n: DRAW_BLOCK, or fewer
-    where redraws are so likely that more than FALLBACK_SHARE of the blocks
-    would fall back to scalar draws. A draw from range r redraws with
-    probability ((2^32 - r) mod r) / 2^32; the sum over both ranges bounds a
-    step's, and k times that bounds a k-step block's."""
-    redraw = sum((2**32 - r) % r for r in (y, n)) / 2**32
-    return min(DRAW_BLOCK, max(1, int(FALLBACK_SHARE / redraw))) if redraw else DRAW_BLOCK
-
-
 class Chain:
     """Single-owner replicated-annealing chain over a model's energy.
 
     The chain's generator is `make_rng(seed)`; it draws its steps in blocks
-    of `draw_block` steps with `draw_steps`. Any split into blocks gives the
-    same draws.
+    with `draw_steps`.
     """
 
     def __init__(self, model, y, schedule, kernel="combined", seed=0):
@@ -287,7 +274,6 @@ class Chain:
         self.states = self.ensemble.states
         self.iteration = 0
         self.stats = RunStats()
-        self._block = draw_block(self.ensemble.y, self.ensemble.n)
         self._draws = iter(())
 
     def propose(self) -> tuple[int, int, float, float, float]:
@@ -301,7 +287,7 @@ class Chain:
         """
         draw = next(self._draws, None)
         if draw is None:
-            k = max(1, min(self._block, self.schedule.it_max - self.iteration))
+            k = max(1, min(DRAW_BLOCK, self.schedule.it_max - self.iteration))
             betas, gammas = self.schedule.values(self.iteration, k)
             self._draws = zip(*draw_steps(self.rng, self.ensemble.y, self.ensemble.n, k),
                               betas, gammas)

@@ -109,22 +109,29 @@ def mnist_dir() -> Path | None:
     return Path(value) if value else None
 
 
-def load_mnist(directory=None) -> tuple[ClassifierDataset, ClassifierDataset]:
-    """Load the standard MNIST train/test IDX files from a directory."""
+def mnist_paths(directory=None) -> dict[str, Path]:
+    """The resolved path of each MNIST IDX file, by MNIST_FILES key, in a
+    directory or, by default, the one named by REPLICA_ANNEAL_DATA; raises
+    FileNotFoundError if there is no directory or a file is missing."""
     directory = Path(directory) if directory else mnist_dir()
     if directory is None:
         raise FileNotFoundError(
             f"no dataset directory: set {DATA_DIR_ENV} or pass a path; expected files "
             + ", ".join(MNIST_FILES.values()))
-    missing = [name for name in MNIST_FILES.values() if not (directory / name).exists()]
+    paths = {key: (directory / name).resolve() for key, name in MNIST_FILES.items()}
+    missing = [MNIST_FILES[key] for key, path in paths.items() if not path.exists()]
     if missing:
         raise FileNotFoundError(
             f"missing MNIST files in {directory}: {', '.join(missing)} "
             "(download the standard IDX files; no auto-download is performed)")
-    train = dataset_from_idx(read_idx(directory / MNIST_FILES["train_images"]),
-                             read_idx(directory / MNIST_FILES["train_labels"]))
-    test = dataset_from_idx(read_idx(directory / MNIST_FILES["test_images"]),
-                            read_idx(directory / MNIST_FILES["test_labels"]))
+    return paths
+
+
+def load_mnist(directory=None) -> tuple[ClassifierDataset, ClassifierDataset]:
+    """Load the standard MNIST train/test IDX files from a directory."""
+    paths = mnist_paths(directory)
+    train = dataset_from_idx(read_idx(paths["train_images"]), read_idx(paths["train_labels"]))
+    test = dataset_from_idx(read_idx(paths["test_images"]), read_idx(paths["test_labels"]))
     return train, test
 
 

@@ -9,18 +9,16 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .annealer import AnnealSchedule, Chain, make_rng, spawn_seed
 from .data_io import (
-    MNIST_FILES,
     ExperimentConfig,
     ResultRecord,
     load_mnist,
     make_splits,
-    mnist_dir,
+    mnist_paths,
     subsample,
 )
 from .energies import (
@@ -85,8 +83,9 @@ def build_model(config: ExperimentConfig):
 
     The key is the canonical JSON of the two specs, as in ExperimentConfig.hash,
     and for an mnist dataset the resolved path, size, mtime and inode of each
-    IDX file, so rewriting a file builds the model again. The cache holds one
-    entry. The datasets' arrays are read-only, since later runs share them.
+    IDX file, so rewriting a file builds the model again; a missing file raises
+    load_mnist's error. The cache holds one entry. The datasets' arrays are
+    read-only, since later runs share them.
     """
     specs = json.dumps([config.dataset, config.model], sort_keys=True, separators=(",", ":"))
     return _cached_model(specs, _idx_files(config.dataset))
@@ -94,28 +93,17 @@ def build_model(config: ExperimentConfig):
 
 def _idx_files(spec: dict) -> tuple:
     """(path, st_size, st_mtime_ns, st_ino) of each IDX file an mnist spec
-    reads, None for a file it cannot stat; () for any other kind."""
+    reads, as load_mnist finds them; () for any other kind."""
     if spec.get("kind") != "mnist":
         return ()
-    directory = Path(spec["directory"]) if spec.get("directory") else mnist_dir()
-    if directory is None:
-        return (None,)
-    files = []
-    for name in MNIST_FILES.values():
-        try:
-            path = (directory / name).resolve()
-            stat = path.stat()
-        except OSError:
-            files.append(None)
-        else:
-            files.append((str(path), stat.st_size, stat.st_mtime_ns, stat.st_ino))
-    return tuple(files)
+    stats = ((path, path.stat()) for path in mnist_paths(spec.get("directory")).values())
+    return tuple((str(path), st.st_size, st.st_mtime_ns, st.st_ino) for path, st in stats)
 
 
 @functools.lru_cache(maxsize=1)
 def _cached_model(specs: str, idx_files: tuple):
     """build_model's result for the JSON [dataset, model] specs. idx_files is
-    only part of the key; a build that raises, as on a missing file, is not cached."""
+    only part of the key; a build that raises is not cached."""
     dataset_spec, model_spec = json.loads(specs)
     kind = _spec_kind(model_spec, "model", "kind", "perceptron")
     data, test = build_dataset(dataset_spec)

@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from replica_anneal.annealer import (
-    DRAW_BLOCK,
-    FALLBACK_SHARE,
     AnnealSchedule,
     Chain,
     accept_combined,
     accept_two_stage,
-    draw_block,
     draw_steps,
     interaction_delta,
     log_cosh_stable,
@@ -322,17 +319,6 @@ def test_chained_draw_blocks_match_scalar_draws(y, n):
     for k in (1, 2, 3, 50, 9, 4000, 5):
         assert draw_steps(block, y, n, k) == _scalar_steps(scalar, y, n, k)
     assert block.bit_generator.random_raw() == scalar.bit_generator.random_raw()
-
-
-@pytest.mark.parametrize("y, n, k", [(10, 100, DRAW_BLOCK), (3, 7840, DRAW_BLOCK),
-                                     (1, 1, DRAW_BLOCK), (4, 2**20, DRAW_BLOCK),
-                                     (3, 10**6, 133), (1, 10**7, 25), (2**31 + 1, 1, 1)])
-def test_draw_block_shortens_blocks_where_redraws_are_likely(y, n, k):
-    # 2^32 mod 10^6 = 967 296, so a draw from 10^6 redraws with probability
-    # 2.25e-4 and 133 steps are the most that keep a block's below 3%
-    assert draw_block(y, n) == k
-    redraw = sum((2**32 - r) % r for r in (y, n)) / 2**32
-    assert k == 1 or k * redraw <= FALLBACK_SHARE
 
 
 def test_draw_steps_needs_a_philox_rng():

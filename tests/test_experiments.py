@@ -266,6 +266,24 @@ def test_missing_idx_file_is_not_cached(tmp_path):
     assert train_run(cfg).record.test_accuracy is not None
 
 
+def test_default_idx_directory_is_keyed_as_load_mnist_reads_it(tmp_path, monkeypatch):
+    """A spec without a directory reads REPLICA_ANNEAL_DATA; pointing it at
+    other files loads those."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    for seed, directory in enumerate((first, second)):
+        directory.mkdir()
+        _write_mnist(directory, seed=seed)
+    calls = _count_loads(monkeypatch)
+    cfg = dataclasses.replace(_ce_config(tmp_path), dataset={"kind": "mnist"})
+    monkeypatch.setenv("REPLICA_ANNEAL_DATA", str(first))
+    train_run(cfg)
+    train_run(cfg)
+    monkeypatch.setenv("REPLICA_ANNEAL_DATA", str(second))
+    inputs = train_run(cfg).model.dataset.inputs
+    assert len(calls) == 2
+    assert np.array_equal(inputs, experiments.load_mnist(second)[0].inputs)
+
+
 @pytest.mark.parametrize("kind", ["perceptron", "cross-entropy"])
 def test_sweep_rows_do_not_depend_on_the_model_cache(kind, tmp_path, monkeypatch):
     """Rows from a sweep that builds every run's model equal those from one
