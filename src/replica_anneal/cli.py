@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep(p):
         common(p)
         records(p)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("train", help="single annealing run")
     common(p)
@@ -133,20 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep(p)
     p.add_argument("--beta-i", dest="beta_i", type=float, nargs="+", required=True)
     p.add_argument("--beta-f", dest="beta_f", type=float, nargs="+", required=True)
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--repetitions", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("sweep-gamma", help="sweep over gamma values")
     sweep(p)
     p.add_argument("--gamma", type=float, nargs="+", required=True)
-    p.add_argument("--repetitions", type=int, default=10)
+    p.add_argument("--repetitions", type=_positive_int, default=10)
     p.set_defaults(func=cmd_sweep_gamma)
 
     p = sub.add_parser("robustness", help="perturbation robustness of a trained model")
     common(p)
     p.add_argument("--p", type=float, nargs="+",
                    default=[0.0, 0.001, 0.01, 0.1, 0.5])
-    p.add_argument("--repetitions", type=int, default=1000)
+    p.add_argument("--repetitions", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("exact-verify", help="run the exact-analysis suites")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annealer import make_rng
-from .spins import as_spins
+from .spins import all_pm1, as_spins
 
 
 class DimensionError(ValueError):
@@ -38,14 +38,15 @@ class PatternSet:
     labels: np.ndarray    # (M,) of +-1
 
     def __post_init__(self):
-        self.patterns = np.asarray(self.patterns, dtype=np.int8)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.patterns.ndim != 2 or self.patterns.shape[0] < 1:
+        patterns, labels = np.asarray(self.patterns), np.asarray(self.labels)
+        if patterns.ndim != 2 or patterns.shape[0] < 1:
             raise DimensionError("patterns must be a non-empty (M, N) array")
-        if self.labels.shape != (self.patterns.shape[0],):
+        if labels.shape != (patterns.shape[0],):
             raise DimensionError("labels must have one entry per pattern")
-        if not np.all(np.abs(self.patterns) == 1) or not np.all(np.abs(self.labels) == 1):
+        if not all_pm1(patterns) or not all_pm1(labels):
             raise DimensionError("patterns and labels must be +-1 valued")
+        self.patterns = patterns.astype(np.int8, copy=False)
+        self.labels = labels.astype(np.int8, copy=False)
 
     @property
     def m(self) -> int:
@@ -64,8 +65,10 @@ def generate_synthetic(count: int = 30, dim: int = 100, seed: int = 0) -> Patter
     return PatternSet(patterns, labels)
 
 
-# thresholds of the two pattern bitmasks a PerceptronState keeps, as a column
-_MASK_LEVELS = np.array([[0], [2]])
+def _pack(values, lane: np.dtype) -> int:
+    """sum_mu values[mu] 2^(bits mu): the values as the little-endian lanes,
+    of dtype `lane`, of one Python int."""
+    return int.from_bytes(np.asarray(values).astype(lane).tobytes(), "little")
 
 
 class PerceptronEnergy:
@@ -77,21 +80,30 @@ class PerceptronEnergy:
         self.odd_mode = data.n % 2 == 1
         # signed patterns theta^mu * xi^mu, so margins are just a matvec
         self._signed = (data.patterns * data.labels[:, None]).astype(np.int64)
+        # a PerceptronState keeps q^mu/2 + N//2, in [0, N], in lane mu of one
+        # int; a lane is the narrowest unsigned type that holds 2N, so its top
+        # bit stays clear. Adding _ge0 (_ge2) to that int sets lane mu's top
+        # bit iff q^mu >= 0 (q^mu >= 2), with no carry out of any lane
+        self._lane = np.min_scalar_type(2 * data.n).newbyteorder("<")
+        top = 8 * self._lane.itemsize - 1
+        ones = _pack(np.ones(data.m), self._lane)
+        self._tops = ones << top
+        self._ge0 = ((1 << top) - data.n // 2) * ones
+        self._ge2 = self._ge0 - ones
 
     @functools.cached_property
     def _moves(self) -> tuple:
         """Flipping w_i adds r = 2 w_i theta^mu xi^mu_i, each +2 or -2, to
-        every q^mu. Entry [w_i][i] is (up, down, r): the bitmasks, bit mu for
-        pattern mu, of the patterns where r is +2 and where it is -2, and r as
-        a row. Indexed by the sign w_i, so entry 0 is unused. Built at the
-        first flip, so that a run without steps does not build it."""
-        moves = np.ascontiguousarray(2 * self._signed.T)
-        raised = np.packbits(moves > 0, axis=1, bitorder="little")
-        everything = (1 << self.data.m) - 1
-        up = [int.from_bytes(row, "little") for row in raised]
-        return (None,
-                [(u, everything ^ u, r) for u, r in zip(up, moves)],
-                [(everything ^ u, u, -r) for u, r in zip(up, moves)])
+        every q^mu, so r/2 to every lane. Entry [w_i][i] is (up, down, step):
+        the patterns where r is +2 and where it is -2, as masks on the lanes'
+        top bits, and step = sum_mu (r^mu/2) 2^(bits mu), which adds r/2 to
+        each lane. Indexed by the sign w_i, so entry 0 is unused. Built at
+        the first flip, so that a run without steps does not build it."""
+        top = 8 * self._lane.itemsize - 1
+        ones = self._tops >> top
+        raised = [_pack(row, self._lane) for row in self._signed.T > 0]
+        plus = [(u << top, (ones - u) << top, 2 * u - ones) for u in raised]
+        return None, plus, [(down, up, -step) for up, down, step in plus]
 
     def margins(self, w) -> np.ndarray:
         w = as_spins(w)
@@ -124,40 +136,42 @@ class PerceptronState:
     A flip adds r^mu = +-2 to each q^mu, so max(q + r, 0) - max(q, 0) is +2
     where r = +2 and q >= 0, -2 where r = -2 and q >= 2, and 0 elsewhere.
     The energy change is therefore |up & G0| - |down & G2|, with the
-    pattern bitmasks G0 = {q >= 0}, G2 = {q >= 2} kept here and up, down
+    pattern masks G0 = {q >= 0}, G2 = {q >= 2} kept here and up, down
     the patterns the flip raises and lowers; two AND-popcounts on Python
-    ints, exact. apply_flip adds r to q in place and rebuilds both masks.
+    ints, exact.
+
+    q lives in `_h`, one Python int whose lane mu holds q^mu/2 + N//2 (see
+    PerceptronEnergy); the masks have bit `bits - 1` of lane mu, the lane's
+    top bit, for pattern mu. Lanes stay in [0, N] with their top bits clear,
+    so apply_flip adds the move's step to `_h` and sets G0 = (_h + _ge0) &
+    _tops and G2 = (_h + _ge2) & _tops: Python int arithmetic, no numpy.
     """
 
     def __init__(self, model: PerceptronEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
-        self._q = int(model.odd_mode) - model.margins(self.w)
-        self.energy = int(np.maximum(self._q, 0).sum()) / 2
-        self._set_masks()
+        q = int(model.odd_mode) - model.margins(self.w)
+        self.energy = int(np.maximum(q, 0).sum()) / 2
+        self._h = _pack(q // 2 + model.n_spins // 2, model._lane)
+        self._g0 = (self._h + model._ge0) & model._tops
+        self._g2 = (self._h + model._ge2) & model._tops
         self._memo = None
 
-    def _set_masks(self):
-        """G0 and G2 from q: bit mu of the packed (2, M) comparison is q^mu >= 0
-        and bit M + mu is q^mu >= 2."""
-        m = self._q.size
-        both = int.from_bytes(np.packbits(np.greater_equal(self._q, _MASK_LEVELS),
-                                          bitorder="little"), "little")
-        self._g0, self._g2 = both & ((1 << m) - 1), both >> m
-
     def flip_delta(self, i: int) -> float:
-        up, down, r = self.model._moves[self.w[i]][i]
+        up, down, step = self.model._moves[self.w[i]][i]
         delta = float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
-        self._memo = (i, delta, r)
+        self._memo = (i, delta, step)
         return delta
 
     def apply_flip(self, i: int) -> float:
         if self._memo is None or self._memo[0] != i:
             self.flip_delta(i)
-        _, delta, r = self._memo
+        _, delta, step = self._memo
         self._memo = None
-        self._q += r
-        self._set_masks()
+        model = self.model
+        self._h = h = self._h + step
+        self._g0 = (h + model._ge0) & model._tops
+        self._g2 = (h + model._ge2) & model._tops
         self.w[i] = -self.w[i]
         self.energy += delta
         return delta

@@ -9,14 +9,20 @@ class SpinError(ValueError):
     pass
 
 
+def all_pm1(arr: np.ndarray) -> bool:
+    """Whether the array is real and every entry equals -1 or +1 exactly,
+    in the array's own dtype, before any cast could wrap or truncate it."""
+    return arr.dtype.kind in "biuf" and bool(np.all(np.abs(arr) == 1))
+
+
 def as_spins(values) -> np.ndarray:
     """Coerce to an int8 array of +-1 entries, validating every entry."""
-    arr = np.asarray(values, dtype=np.int8)
+    arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise SpinError(f"spin vector must be 1-d and non-empty, got shape {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
+    if not all_pm1(arr):
         raise SpinError("spin entries must be exactly -1 or +1")
-    return arr
+    return np.asarray(arr, dtype=np.int8)
 
 
 class ReplicaEnsemble:

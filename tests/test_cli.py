@@ -167,6 +167,25 @@ def test_validate_schedule_refuses_a_non_positive_horizon(horizon, capsys):
     assert "--horizon: must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep-beta", "--beta-i", "0.1", "--beta-f", "1.0", "--repetitions", "0"], "--repetitions"),
+    (["sweep-beta", "--beta-i", "0.1", "--beta-f", "1.0", "--jobs", "-1"], "--jobs"),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "0"], "--jobs"),
+    (["sweep-gamma", "--gamma", "0.5", "--repetitions", "-3"], "--repetitions"),
+    (["robustness", "--repetitions", "0"], "--repetitions"),
+])
+def test_counts_are_refused_before_any_run(argv, flag, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+
+    for name in ("train_run", "sweep_beta", "sweep_gamma", "robustness_eval"):
+        monkeypatch.setattr(cli, name, never)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"{flag}: must be a positive integer" in capsys.readouterr().err
+
+
 def test_validate_schedule_requires_input():
     with pytest.raises(SystemExit):
         cli.main(["validate-schedule", "--m", "1.0"])

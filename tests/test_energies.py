@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replica_anneal import energies
 from replica_anneal.energies import (
     ClassifierDataset,
     CrossEntropyEnergy,
@@ -36,6 +37,18 @@ def test_pattern_set_validation():
         PatternSet(np.array([[1, 2]]), np.array([1]))
     ps = PatternSet(np.array([[1, -1], [-1, 1]]), np.array([1, -1]))
     assert ps.m == 2 and ps.n == 2
+
+
+@pytest.mark.parametrize("patterns, labels", [
+    (np.array([[255, 1]]), np.array([1])),   # int8 cast wraps 255 to -1
+    (np.array([[257, -1]]), np.array([1])),  # and 257 to 1
+    (np.array([[1.5, -1.0]]), np.array([1])),  # and truncates 1.5 to 1
+    (np.array([[1, -1]]), np.array([255])),
+    (np.array([[1, -1]]), np.array([-1.5])),
+])
+def test_pattern_set_checks_entries_before_the_int8_cast(patterns, labels):
+    with pytest.raises(DimensionError):
+        PatternSet(patterns, labels)
 
 
 def test_generate_synthetic_deterministic():
@@ -102,6 +115,64 @@ def test_perceptron_apply_flip_exact_after_another_delta(dim, rng):
             assert np.array_equal(state.w, w2)
             assert state.energy == model.energy(w2)
             assert state.flip_delta(i) == -expected
+
+
+def _lane_bytes(n):
+    """The fewest of 1, 2, 4 or 8 bytes whose top bit no lane value in
+    [0, N] reaches."""
+    return next(b for b in (1, 2, 4, 8) if n < 1 << (8 * b - 1))
+
+
+def _check_lanes(model, state):
+    """The state's packed q, G0 and G2 against q recomputed from the margins."""
+    q = int(model.odd_mode) - model.margins(state.w)
+    width = _lane_bytes(model.n_spins)
+    lanes = np.frombuffer(state._h.to_bytes(width * q.size, "little"), dtype=f"<u{width}")
+    assert np.array_equal(lanes, q // 2 + model.n_spins // 2)
+
+    def on_tops(selected):
+        return sum(1 << (8 * width * int(mu) + 8 * width - 1) for mu in np.flatnonzero(selected))
+
+    assert state._g0 == on_tops(q >= 0)
+    assert state._g2 == on_tops(q >= 2)
+
+
+# N at each change of lane width (127 | 128 and 32767 | 32768) and beside it
+@pytest.mark.parametrize("dim", [126, 127, 128, 129, 32766, 32767, 32768, 32769])
+def test_perceptron_lanes_hold_q_at_the_ends_of_its_range(dim, rng):
+    for count in (1, 8, 9, 64, 65):
+        model = PerceptronEnergy(generate_synthetic(count=count, dim=dim, seed=count))
+        signed = model.data.patterns[0] * model.data.labels[0]
+        # aligned with pattern 0, q^0 is at the bottom of [off - N, off + N];
+        # against it, at the top. Each flip is undone by the next, so every
+        # second apply_flip returns q^0 to that end.
+        for start in (signed, -signed):
+            state = model.make_state(start)
+            _check_lanes(model, state)
+            for i in (int(v) for v in np.repeat(rng.integers(dim, size=4), 2)):
+                w2 = state.w.copy()
+                w2[i] = -w2[i]
+                assert state.flip_delta(i) == model.energy(w2) - model.energy(state.w)
+                state.apply_flip(i)
+                assert state.energy == model.energy(w2)
+                _check_lanes(model, state)
+
+
+def test_perceptron_flips_call_no_numpy_function(monkeypatch, rng):
+    model = PerceptronEnergy(generate_synthetic(count=30, dim=11, seed=2))
+    state = model.make_state(rng.integers(0, 2, size=11).astype(np.int8) * 2 - 1)
+    state.flip_delta(0)  # builds the move table
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} called by a flip")
+
+    monkeypatch.setattr(energies, "np", NoNumpy())
+    for i in (int(v) for v in rng.integers(11, size=50)):
+        state.flip_delta(i)
+        state.apply_flip(i)
+    monkeypatch.undo()
+    assert state.energy == model.energy(state.w)
 
 
 def _toy_classifier(seed=0, n=12, d=5, k=3):

@@ -23,6 +23,24 @@ def test_as_spins_rejects_non_pm1():
         as_spins([])
 
 
+@pytest.mark.parametrize("values", [np.array([255, 1]), np.array([257, -1]),
+                                    np.array([1.5, -1.0]), np.array([-1, 1, 129]),
+                                    np.array([1.0, np.nan]), np.array([1j, 1]),
+                                    np.array(["1", "-1"])])
+def test_as_spins_checks_entries_before_the_int8_cast(values):
+    # int8 casts wrap 255 to -1 and 257 to 1, and truncate 1.5 to 1
+    with pytest.raises(SpinError):
+        as_spins(values)
+
+
+def test_as_spins_keeps_exact_pm1_of_any_dtype():
+    for values in (np.array([1.0, -1.0]), np.array([1, 1], dtype=np.uint64),
+                   [1, -1], [True, True], np.array([-1, 1], dtype=np.int8)):
+        spins = as_spins(values)
+        assert spins.dtype == np.int8
+        assert np.array_equal(spins, np.asarray(values))
+
+
 def test_ensemble_fields_track_flips(rng):
     ens = ReplicaEnsemble.random(_flat(6), 3, rng)
     assert ens.check_fields()
