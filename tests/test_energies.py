@@ -80,7 +80,7 @@ def test_perceptron_accuracy_zero_loss_convention():
 
 
 def test_perceptron_state_delta_matches_recompute(small_patterns, rng):
-    # the pattern bitmasks span one or more 64-bit words; odd and even N
+    # lanes packed into one or more machine words; odd and even N
     instances = [small_patterns] + [generate_synthetic(count=m, dim=n, seed=m + n)
                                      for m, n in [(63, 7), (64, 8), (65, 9), (200, 51), (200, 50)]]
     for patterns in instances:
