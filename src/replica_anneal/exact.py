@@ -163,36 +163,38 @@ def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
     """Row-stochastic single-flip kernel on the 2^{Ny} ensembles."""
     _check_size(n, y, MAX_NY_KERNEL)
     tot_e = total_energy_table(energy_table_of(model, n), n, y)
-    return _kernel_matrix(tot_e, fields_table(n, y), n, y, beta, gamma, kernel)
-
-
-def _kernel_matrix(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, beta: float,
-                   gamma: float, kernel: str) -> np.ndarray:
-    """build_kernel_matrix on the instance's total-energy and fields tables,
-    which do not depend on beta or gamma."""
-    if kernel not in ("two-stage", "combined"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    size = 2 ** (n * y)
-    idx = np.arange(size, dtype=np.int64)
-    log_cosh = _log_cosh_table(gamma, y)
-    k_mat = np.zeros((size, size))
-    prop = 1.0 / (n * y)
-    for a in range(y):
-        for i in range(n):
-            bit = a * n + i
-            nbr = idx ^ (1 << bit)
-            delta_e = tot_e[nbr] - tot_e
-            spin = 2 * ((idx >> bit) & 1) - 1
-            f_old = fields[:, i]
-            f_new = f_old - 2 * spin
-            delta_h = log_cosh[f_new + y] - log_cosh[f_old + y]
-            if kernel == "combined":
-                acc = np.exp(np.minimum(-beta * delta_e + delta_h, 0.0))
-            else:
-                acc = np.exp(np.minimum(delta_h, 0.0)) * np.exp(-beta * np.maximum(delta_e, 0.0))
-            k_mat[idx, nbr] = prop * acc
+    nbr, delta_e, delta_h = _flip_tables(tot_e, fields_table(n, y), n, y, gamma)
+    moves = _flip_moves(delta_e, delta_h, beta, kernel)
+    idx = np.arange(tot_e.size)
+    k_mat = np.zeros((idx.size, idx.size))
+    k_mat[idx[:, None], nbr] = moves
     k_mat[idx, idx] = 1.0 - k_mat.sum(axis=1)
     return k_mat
+
+
+def _flip_tables(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, gamma: float):
+    """(S, N*y) tables over the single-flip moves (s, bit): the neighbour
+    s ^ (1 << bit), and the changes of the total energy and of
+    sum_i log cosh(gamma f_i) that the flip makes. None depends on beta."""
+    idx = np.arange(tot_e.size, dtype=np.int64)[:, None]
+    bits = np.arange(n * y)
+    nbr = idx ^ (1 << bits)
+    delta_e = tot_e[nbr] - tot_e[:, None]
+    f_old = fields[:, bits % n]
+    f_new = f_old - 2 * (2 * ((idx >> bits) & 1) - 1)
+    log_cosh = _log_cosh_table(gamma, y)
+    return nbr, delta_e, log_cosh[f_new + y] - log_cosh[f_old + y]
+
+
+def _flip_moves(delta_e: np.ndarray, delta_h: np.ndarray, beta: float, kernel: str) -> np.ndarray:
+    """(S, N*y) table of the probability that the kernel flips bit b from state s."""
+    if kernel == "combined":
+        acc = np.exp(np.minimum(-beta * delta_e + delta_h, 0.0))
+    elif kernel == "two-stage":
+        acc = np.exp(np.minimum(delta_h, 0.0)) * np.exp(-beta * np.maximum(delta_e, 0.0))
+    else:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    return (1.0 / delta_e.shape[1]) * acc
 
 
 def replica_swap(n: int, y: int) -> np.ndarray:
@@ -294,6 +296,85 @@ def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | 
     return stationary, 1.0 - psi, psi
 
 
+def _flip_balance_error(moves: np.ndarray, nbr: np.ndarray, qbar: np.ndarray) -> float:
+    """max over the moves of |qbar_s K(s, s^b) - qbar_{s^b} K(s^b, s)|, or NaN
+    if any term is NaN."""
+    flux = qbar[:, None] * moves
+    return float(np.abs(flux - flux[nbr, np.arange(nbr.shape[1])]).max())
+
+
+def _flip_swap_error(moves: np.ndarray, swap: np.ndarray, swapped_bit: np.ndarray) -> float:
+    """max over the moves of |K(s, s^b) - K(Ps, Ps^Pb)|, Pb being bit b with
+    replicas 0 and 1 exchanged, or NaN if any term is NaN."""
+    return float(np.abs(moves - moves[swap[:, None], swapped_bit]).max())
+
+
+class _FlipGap:
+    """stationary_and_gap's psi, from the (S, N*y) moves table of one beta.
+
+    The block layout depends only on (N, y), so it is built once: states in
+    the order fixed, pairs, partners, as in stationary_and_gap. Each move of a
+    fixed or pair row is one entry of the even block, and a pair row's move to
+    a pair or partner is also one entry of the odd block: for a pair row r and
+    pair column d at most one of d and Pd is a flip neighbour of r, and r's
+    partner never is. A fixed row's moves to pairs and partners fall in the
+    upper triangle, which eigvalsh does not read, and are not written.
+    """
+
+    def __init__(self, nbr: np.ndarray, swap: np.ndarray | None, n: int):
+        size, nbits = nbr.shape
+        self.nbr, self.swap = nbr, swap
+        idx = np.arange(size)
+        swap = idx if swap is None else swap
+        fixed = np.flatnonzero(swap == idx)
+        pairs = np.flatnonzero(idx < swap)
+        nf, nr = fixed.size, pairs.size
+        h = nf + nr
+        self.rows = np.concatenate([fixed, pairs])
+        self.pairs = pairs
+        pos = np.empty(size, dtype=np.int64)
+        pos[np.concatenate([self.rows, swap[pairs]])] = idx
+        bits = np.arange(nbits)
+        self.swapped_bit = np.where(bits < 2 * n, (bits + n) % (2 * n), bits)
+        row = np.broadcast_to(pos[:, None], nbr.shape).ravel()
+        col = pos[nbr].ravel()
+        partner = col >= h
+        col = np.where(partner, col - nr, col)
+        pair_row = (row >= nf) & (row < h)
+        # flat positions in the moves table, in the block and a factor for each
+        # entry; a pair row's fixed columns carry sqrt 2, as in stationary_and_gap
+        self.even_src = np.flatnonzero(pair_row | (row < nf) & (col < nf))
+        self.even_at = row[self.even_src] * h + col[self.even_src]
+        self.even_scale = np.where(pair_row[self.even_src] & (col[self.even_src] < nf),
+                                   math.sqrt(2.0), 1.0)
+        self.odd_src = np.flatnonzero(pair_row & (col >= nf))
+        self.odd_at = (row[self.odd_src] - nf) * nr + col[self.odd_src] - nf
+        # odd block: (e_r - e_Pr) / sqrt 2, so a pair row's partner columns enter with -1
+        self.odd_sign = np.where(partner[self.odd_src], -1.0, 1.0)
+        self.even, self.odd = np.zeros((h, h)), np.zeros((nr, nr))
+
+    def __call__(self, moves: np.ndarray, qbar: np.ndarray) -> float:
+        asym = _flip_balance_error(moves, self.nbr, qbar)
+        if not asym <= REVERSIBILITY_TOL:
+            raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
+        if self.swap is not None:
+            asym = _flip_swap_error(moves, self.swap, self.swapped_bit)
+            if not asym <= REVERSIBILITY_TOL:
+                raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
+        sq = np.sqrt(qbar)
+        # -sqrt(q_s) K(s, t) / sqrt(q_t) for every move, as in stationary_and_gap
+        lap = (moves * -sq[:, None] / sq[self.nbr]).ravel()
+        np.put(self.even, self.even_at, lap[self.even_src] * self.even_scale)
+        np.put(self.odd, self.odd_at, lap[self.odd_src] * self.odd_sign)
+        escape = moves.sum(axis=1)
+        np.fill_diagonal(self.even, escape[self.rows])
+        np.fill_diagonal(self.odd, escape[self.pairs])
+        low = [np.linalg.eigvalsh(self.even, UPLO="L")[:2]]
+        if self.pairs.size:
+            low.append(np.linalg.eigvalsh(self.odd)[:1])
+        return float(np.sort(np.concatenate(low))[1])
+
+
 class _UnionFind:
     def __init__(self, size):
         self.parent = list(range(size))
@@ -366,7 +447,15 @@ def _n0_sets(tot_e: np.ndarray, n: int, y: int, tol: float = 1e-12):
 def compute_constants(model, n: int, y: int, gamma: float,
                       kernel: str = "combined") -> ConvergenceConstants:
     """Per-instance constants: energy gap B, interaction gap B', elevation m,
-    a fitted kappa1, and the spectral-gap bracket [c, C] over BETA_GRID."""
+    a fitted kappa1, and the spectral-gap bracket [c, C] over BETA_GRID.
+
+    Each beta's gap is stationary_and_gap's psi, taken from the (S, N*y)
+    table of single-flip move probabilities: no S x S kernel is built. The
+    neighbour, energy-change and field-change tables and the block layout
+    are built once for all betas. The off-diagonal Laplacian entries are the
+    dense path's to the bit; the escape rates are summed over the moves, so
+    psi can differ from the dense path's in its last bits.
+    """
     energy = energy_table_of(model, n)
     nonzero = energy[energy > 1e-12]
     b_const = float(nonzero.min()) if nonzero.size else None
@@ -385,13 +474,12 @@ def compute_constants(model, n: int, y: int, gamma: float,
             kappa1 = max(kappa1, np.abs(cur - prev).max() * math.exp(b1 * b_const))
 
     # compute_elevation_m has already checked N*y <= MAX_NY_KERNEL
-    swap = replica_swap(n, y) if y >= 2 else None
+    nbr, delta_e, delta_h = _flip_tables(tot_e, fields, n, y, gamma)
+    gap = _FlipGap(nbr, replica_swap(n, y) if y >= 2 else None, n)
     psi_values = []
     scaled = []
     for beta, qbar in zip(BETA_GRID, qbars):
-        # no name holds the kernel, so it is freed before the next beta's is built
-        _, _, psi = stationary_and_gap(_kernel_matrix(tot_e, fields, n, y, beta, gamma, kernel),
-                                       qbar, swap)
+        psi = gap(_flip_moves(delta_e, delta_h, beta, kernel), qbar)
         psi_values.append((float(beta), float(psi)))
         scaled.append(psi * math.exp(beta * m))
     return ConvergenceConstants(B=b_const, Bprime=float(b_prime), m=float(m),

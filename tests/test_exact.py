@@ -317,18 +317,124 @@ def _reference_gap(model, n, y, beta, gamma, mp):
     return sorted(mp.eigsy(lap, eigvals_only=True))[1]
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-def test_gap_matches_a_50_digit_reference(split):
+@pytest.mark.parametrize("path", ["whole", "split", "moves"])
+def test_gap_matches_a_50_digit_reference(path):
     """Criterion 4's instance at beta = 20, where psi ~ 5e-10 and 1 - lambda_2
-    loses all but about six digits."""
+    loses all but about six digits: the dense kernel's gap unsplit and split,
+    and compute_constants' gap from the moves table."""
     import mpmath  # a declared test dependency: this guard must not skip
     model, n, y, beta, gamma = fixtures.double_well(2), 2, 2, 20.0, 0.5
     with mpmath.workdps(50):
         ref = _reference_gap(model, n, y, beta, gamma, mpmath.mp)
     _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
-    k = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
-    _, _, psi = exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y) if split else None)
+    if path == "moves":
+        gap, moves = _flip_gap(model, n, y, beta, gamma, "two-stage")
+        psi = gap(moves, qbar)
+    else:
+        k = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
+        swap = exact.replica_swap(n, y) if path == "split" else None
+        _, _, psi = exact.stationary_and_gap(k, qbar, swap)
     assert float(abs(psi - ref) / ref) <= 1e-7
+
+
+def _flip_gap(model, n, y, beta, gamma, kernel):
+    """compute_constants' gap function for (N, y) and its moves table at beta."""
+    tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
+    nbr, delta_e, delta_h = exact._flip_tables(tot_e, exact.fields_table(n, y), n, y, gamma)
+    gap = exact._FlipGap(nbr, exact.replica_swap(n, y) if y >= 2 else None, n)
+    return gap, exact._flip_moves(delta_e, delta_h, beta, kernel)
+
+
+@pytest.mark.parametrize("n,y", [(4, 1), (3, 2), (3, 3), (2, 4)])
+def test_moves_gap_equals_the_dense_gap(n, y):
+    """psi from the moves table against stationary_and_gap on the dense
+    kernel, both kernels, beta up to 20. At y = 1 there is no swap: every
+    state is fixed and fixed rows have fixed neighbours."""
+    model = fixtures.random_integer_energies(n, make_rng(200 + n * y))
+    swap = exact.replica_swap(n, y) if y >= 2 else None
+    for kernel in ("two-stage", "combined"):
+        for beta in (0.0, 2.0, 15.0, 20.0):
+            _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, 0.5)
+            k = exact.build_kernel_matrix(model, n, y, beta, 0.5, kernel)
+            _, _, psi_dense = exact.stationary_and_gap(k, qbar, swap)
+            gap, moves = _flip_gap(model, n, y, beta, 0.5, kernel)
+            assert abs(gap(moves, qbar) - psi_dense) <= 1e-13
+
+
+def test_moves_gap_held_by_the_odd_block():
+    """N=3, y=2, q ∝ exp(-2 k), k the number of sites where replicas 0 and 1
+    agree, and Metropolis moves: swap-invariant and reversible, with the
+    slowest mode odd (disagreeing replicas trade places), which no kernel of
+    an energy model gives. Pair rows here have pair and partner neighbours."""
+    n, y = 3, 2
+    idx = np.arange(2 ** (n * y))
+    nbr = idx[:, None] ^ (1 << np.arange(n * y))
+    agree = n - np.array([bin((s ^ (s >> n)) & (2**n - 1)).count("1") for s in idx])
+    qbar = np.exp(-2.0 * agree)
+    qbar /= qbar.sum()
+    moves = np.minimum(1.0, qbar[nbr] / qbar[:, None]) / (n * y)
+    k = np.zeros((idx.size, idx.size))
+    k[idx[:, None], nbr] = moves
+    k[idx, idx] = 1.0 - k.sum(axis=1)
+    gap = exact._FlipGap(nbr, exact.replica_swap(n, y), n)
+    psi = gap(moves, qbar)
+    assert abs(psi - exact.stationary_and_gap(k, qbar)[2]) <= 1e-13
+    assert psi < 0.6 * np.linalg.eigvalsh(gap.even, UPLO="L")[1]
+
+
+def _oracle_gap_instance(seed: int) -> TabulatedEnergy:
+    """The exact-oracle benchmark's gap instance: 0/1 energies on N = 5."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xE4AC7])))
+    table = rng.integers(0, 2, size=2**5).astype(np.float64)
+    return TabulatedEnergy(table - table.min(), n=5)
+
+
+@pytest.mark.parametrize("kernel", ["two-stage", "combined"])
+def test_compute_constants_gaps_equal_the_dense_gaps(kernel):
+    model, n, y, gamma = _oracle_gap_instance(0), 5, 2, 0.5
+    consts = exact.compute_constants(model, n, y, gamma, kernel)
+    assert [beta for beta, _ in consts.psi_values] == exact.BETA_GRID.tolist()
+    for beta, psi in consts.psi_values:
+        _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
+        k = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
+        _, _, psi_dense = exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
+        assert abs(psi - psi_dense) <= 1e-13
+
+
+# N=2, y=2: 0, 5, 10 and 15 are fixed, 1 < 4 = P1 a pair; bit 2 is replica 1's spin 0
+FLIP_MOVES = {"fixed-pair": (0, 0), "fixed-partner": (0, 2), "pair-fixed": (1, 0),
+              "pair-pair": (1, 1), "pair-partner": (1, 3), "partner-fixed": (4, 2)}
+
+
+@pytest.mark.parametrize("check", ["balance", "swap"])
+@pytest.mark.parametrize("perturb", ["nan", "one-sided"])
+@pytest.mark.parametrize("kind", list(FLIP_MOVES))
+def test_flip_checks_reach_every_move(kind, perturb, check, monkeypatch):
+    """A NaN or a one-sided change in one move of each kind, with the other
+    check stubbed out, is caught by the remaining check alone."""
+    model, n, y = fixtures.double_well(2), 2, 2
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, 1.0, 0.5)
+    gap, moves = _flip_gap(model, n, y, 1.0, 0.5, "combined")
+    swap = exact.replica_swap(n, y)
+    s, bit = FLIP_MOVES[kind]
+
+    def kind_of(state):
+        return "fixed" if swap[state] == state else "pair" if state < swap[state] else "partner"
+
+    assert f"{kind_of(s)}-{kind_of(s ^ (1 << bit))}" == kind
+    gap(moves, qbar)
+    moves[s, bit] = np.nan if perturb == "nan" else moves[s, bit] + 1e-3
+    other = "_flip_swap_error" if check == "balance" else "_flip_balance_error"
+    monkeypatch.setattr(exact, other, lambda *args: 0.0)
+    with pytest.raises(exact.NonReversibleError,
+                       match="detailed balance" if check == "balance" else "swap"):
+        gap(moves, qbar)
+
+
+def test_compute_constants_builds_no_kernel():
+    """N=5, y=2: the 14 gaps fit in less than one 8 MB S x S kernel."""
+    model, n, y = fixtures.random_integer_energies(5, make_rng(1)), 5, 2
+    assert _traced_peak(exact.compute_constants, model, n, y, 0.5) < 2 ** (2 * n * y) * 8
 
 
 def test_elevation_flat_landscape_is_zero():
