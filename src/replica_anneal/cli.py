@@ -85,14 +85,19 @@ def cmd_exact_verify(args) -> int:
 
 
 def cmd_validate_schedule(args) -> int:
-    if args.azencott:
-        stages = verify.azencott_stages(args.horizon)
-    elif args.stages_file:
-        doc = json.loads(Path(args.stages_file).read_text())
-        stages = [(float(b), float(t)) for b, t in doc]
-    else:
-        raise SystemExit("provide --stages-file or --azencott")
-    verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)
+    try:
+        if args.azencott:
+            stages = verify.azencott_stages(args.horizon)
+        elif args.stages_file:
+            doc = json.loads(Path(args.stages_file).read_text())
+            stages = [(float(b), float(t)) for b, t in doc]
+        else:
+            raise SystemExit("provide --stages-file or --azencott")
+        verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)
+    except ValueError as err:
+        # code 1 is a FAIL verdict; a schedule that cannot be judged is a usage error
+        print(f"validate-schedule: {err}", file=sys.stderr)
+        return 2
     print(json.dumps(verdict.as_dict(), indent=2))
     return 0 if verdict.passed else 1
 

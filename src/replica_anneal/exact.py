@@ -21,8 +21,8 @@ MAX_NY_KERNEL = 12
 
 # largest |qbar K - (qbar K)^T| accepted as detailed balance
 REVERSIBILITY_TOL = 1e-10
-# entries (512 KB of doubles) in one block of scratch: enumerate_qbar's scores,
-# stationary_and_gap's Laplacian rows and _detailed_balance_error's tiles
+# entries (512 KB of doubles) in one block of scratch: enumerate_qbar's scores
+# and _detailed_balance_error's tiles
 BLOCK = 1 << 16
 # beta grid of compute_constants' kappa1 fit and spectral-gap bracket
 BETA_GRID = np.linspace(2.0, 15.0, 14)
@@ -228,72 +228,29 @@ def _detailed_balance_error(matrix: np.ndarray, qbar: np.ndarray) -> float:
     return float(worst)
 
 
-def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray, swap: np.ndarray | None = None):
-    """(stationary vector, 1 - psi, spectral gap psi).
+def stationary_and_gap(matrix: np.ndarray, qbar: np.ndarray):
+    """(stationary vector, 1 - psi, spectral gap psi), from the dense kernel.
 
     Requires the kernel reversible w.r.t. qbar. psi is the second smallest
     eigenvalue of the symmetrised Laplacian D^{1/2} (I - K) D^{-1/2}, whose
     diagonal is the escape rate sum_{j != i} K_ij, so small gaps do not cancel
-    in 1 - lambda_2.
-
-    `swap` is an involution of the states that leaves the kernel invariant
-    (`replica_swap`); None is the identity. The Laplacian commutes with it and
-    splits into an even block, on the fixed states f and the sums
-    (e_r + e_{Pr})/sqrt 2, and an odd block, on the differences
-    (e_r - e_{Pr})/sqrt 2, each about half the size; psi is the second
-    smallest of their spectra together. The Laplacian rows of f and r are
-    built about BLOCK entries at a time and written straight into the blocks,
-    so no reordered copy of the kernel is made.
+    in 1 - lambda_2. The whole S x S Laplacian is diagonalised, with no use of
+    the replica symmetry: it is the reference that spectral_gaps is checked
+    against.
     """
     asym = _detailed_balance_error(matrix, qbar)
     if not asym <= REVERSIBILITY_TOL:
         raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
-    idx = np.arange(qbar.size)
-    swap = idx if swap is None else swap
-    fixed = np.flatnonzero(swap == idx)
-    pairs = np.flatnonzero(idx < swap)
-    nf, nr = fixed.size, pairs.size
-    h = nf + nr
-    # the states in the order fixed, pairs, partners
-    order = np.concatenate([fixed, pairs, swap[pairs]])
-    sq = np.sqrt(qbar[order])
-    even, odd = np.empty((h, h)), np.empty((nr, nr))
-    asym = 0.0
-    step = max(1, BLOCK // qbar.size)
-    for lo in range(0, h, step):
-        hi = min(lo + step, h)
-        rows = order[lo:hi]
-        block = matrix.take(rows, axis=0)
-        if nr:
-            # the partner rows are the swap images of the pair rows, so these
-            # comparisons reach every entry
-            mirror = matrix.take(swap[rows], axis=0).take(swap, axis=1)
-            asym = np.maximum(asym, np.abs(block - mirror).max())
-        # Laplacian rows lo:hi, columns in `order`: -sqrt(q_i) K_ij / sqrt(q_j) off the diagonal
-        lap = block.take(order, axis=1)
-        np.fill_diagonal(lap[:, lo:], 0.0)
-        escape = lap.sum(axis=1)
-        lap *= -sq[lo:hi, None]
-        lap /= sq
-        np.fill_diagonal(lap[:, lo:], escape)
-        even[lo:hi] = lap[:, :h]
-        # rows lo:mid are fixed states and rows mid:hi pair states; the fixed
-        # rows' pair columns are the upper triangle, which eigvalsh does not read
-        mid = min(max(nf, lo), hi)
-        if mid < hi:
-            pair_rows = lap[mid - lo:]
-            even[mid:hi, :nf] *= math.sqrt(2.0)
-            even[mid:hi, nf:] += pair_rows[:, h:]
-            odd[mid - nf:hi - nf] = pair_rows[:, nf:h] - pair_rows[:, h:]
-    if not asym <= REVERSIBILITY_TOL:
-        raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
-    # ascending eigenvalues, from the lower triangle only: the upper is left unscaled
-    low = [np.linalg.eigvalsh(even, UPLO="L")[:2]]
-    if nr:
-        low.append(np.linalg.eigvalsh(odd)[:1])
-    psi = float(np.sort(np.concatenate(low))[1])
-    stationary = qbar @ matrix
-    return stationary, 1.0 - psi, psi
+    sq = np.sqrt(qbar)
+    # -sqrt(q_i) K_ij / sqrt(q_j) off the diagonal
+    lap = matrix.copy()
+    np.fill_diagonal(lap, 0.0)
+    escape = lap.sum(axis=1)
+    lap *= -sq[:, None]
+    lap /= sq
+    np.fill_diagonal(lap, escape)
+    psi = float(np.linalg.eigvalsh(lap)[1])
+    return qbar @ matrix, 1.0 - psi, psi
 
 
 def _flip_balance_error(moves: np.ndarray, nbr: np.ndarray, qbar: np.ndarray) -> float:
@@ -312,20 +269,28 @@ def _flip_swap_error(moves: np.ndarray, swap: np.ndarray, swapped_bit: np.ndarra
 class _FlipGap:
     """stationary_and_gap's psi, from the (S, N*y) moves table of one beta.
 
+    For y >= 2 the Laplacian commutes with replica_swap, which leaves qbar and
+    both kernels unchanged, so it splits into an even block, on the fixed
+    states f and the sums (e_r + e_Pr)/sqrt 2, and an odd block, on the
+    differences (e_r - e_Pr)/sqrt 2, each about half the size; psi is the
+    second smallest of their spectra together. At y = 1 every state is fixed
+    and the even block is the whole Laplacian.
+
     The block layout depends only on (N, y), so it is built once: states in
-    the order fixed, pairs, partners, as in stationary_and_gap. Each move of a
-    fixed or pair row is one entry of the even block, and a pair row's move to
-    a pair or partner is also one entry of the odd block: for a pair row r and
-    pair column d at most one of d and Pd is a flip neighbour of r, and r's
-    partner never is. A fixed row's moves to pairs and partners fall in the
-    upper triangle, which eigvalsh does not read, and are not written.
+    the order fixed, pairs, partners. Each move of a fixed or pair row is one
+    entry of the even block, and a pair row's move to a pair or partner is
+    also one entry of the odd block: for a pair row r and pair column d at
+    most one of d and Pd is a flip neighbour of r, and r's partner never is.
+    A fixed row's moves to pairs and partners fall in the upper triangle,
+    which eigvalsh does not read, and are not written.
     """
 
-    def __init__(self, nbr: np.ndarray, swap: np.ndarray | None, n: int):
+    def __init__(self, nbr: np.ndarray, n: int, y: int):
         size, nbits = nbr.shape
-        self.nbr, self.swap = nbr, swap
+        self.nbr = nbr
+        self.swap = replica_swap(n, y) if y >= 2 else None
         idx = np.arange(size)
-        swap = idx if swap is None else swap
+        swap = idx if self.swap is None else self.swap
         fixed = np.flatnonzero(swap == idx)
         pairs = np.flatnonzero(idx < swap)
         nf, nr = fixed.size, pairs.size
@@ -342,7 +307,7 @@ class _FlipGap:
         col = np.where(partner, col - nr, col)
         pair_row = (row >= nf) & (row < h)
         # flat positions in the moves table, in the block and a factor for each
-        # entry; a pair row's fixed columns carry sqrt 2, as in stationary_and_gap
+        # entry; a pair row's fixed columns carry sqrt 2: (L_rf + L_Prf) / sqrt 2
         self.even_src = np.flatnonzero(pair_row | (row < nf) & (col < nf))
         self.even_at = row[self.even_src] * h + col[self.even_src]
         self.even_scale = np.where(pair_row[self.even_src] & (col[self.even_src] < nf),
@@ -362,7 +327,7 @@ class _FlipGap:
             if not asym <= REVERSIBILITY_TOL:
                 raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
         sq = np.sqrt(qbar)
-        # -sqrt(q_s) K(s, t) / sqrt(q_t) for every move, as in stationary_and_gap
+        # -sqrt(q_s) K(s, t) / sqrt(q_t) for every move
         lap = (moves * -sq[:, None] / sq[self.nbr]).ravel()
         np.put(self.even, self.even_at, lap[self.even_src] * self.even_scale)
         np.put(self.odd, self.odd_at, lap[self.odd_src] * self.odd_sign)
@@ -444,28 +409,50 @@ def _n0_sets(tot_e: np.ndarray, n: int, y: int, tol: float = 1e-12):
     return n0, tilde
 
 
+def _qbars_and_gaps(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, gamma: float,
+                    betas, kernel: str):
+    """qbar and psi at each beta, from one set of flip tables and one block layout."""
+    field_term = _field_term(fields, gamma, y)
+    qbars = [_normalize_log(-beta * tot_e + field_term) for beta in betas]
+    nbr, delta_e, delta_h = _flip_tables(tot_e, fields, n, y, gamma)
+    gap = _FlipGap(nbr, n, y)
+    psis = [gap(_flip_moves(delta_e, delta_h, beta, kernel), qbar)
+            for beta, qbar in zip(betas, qbars)]
+    return qbars, psis
+
+
+def spectral_gaps(model, n: int, y: int, gamma: float, betas,
+                  kernel: str = "combined") -> list[float]:
+    """The spectral gap psi of the kernel at each beta.
+
+    Each gap is stationary_and_gap's psi, taken from the (S, N*y) table of
+    single-flip move probabilities: no S x S kernel is built. The neighbour,
+    energy-change and field-change tables and the block layout are built
+    once for all betas. The off-diagonal Laplacian entries are the dense
+    path's to the bit; the escape rates are summed over the moves, so psi
+    can differ from the dense path's in its last bits.
+    """
+    _check_size(n, y, MAX_NY_KERNEL)
+    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    return _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, betas, kernel)[1]
+
+
 def compute_constants(model, n: int, y: int, gamma: float,
                       kernel: str = "combined") -> ConvergenceConstants:
     """Per-instance constants: energy gap B, interaction gap B', elevation m,
     a fitted kappa1, and the spectral-gap bracket [c, C] over BETA_GRID.
 
-    Each beta's gap is stationary_and_gap's psi, taken from the (S, N*y)
-    table of single-flip move probabilities: no S x S kernel is built. The
-    neighbour, energy-change and field-change tables and the block layout
-    are built once for all betas. The off-diagonal Laplacian entries are the
-    dense path's to the bit; the escape rates are summed over the moves, so
-    psi can differ from the dense path's in its last bits.
+    The gaps are spectral_gaps', computed on the tables this function builds.
     """
     energy = energy_table_of(model, n)
     nonzero = energy[energy > 1e-12]
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
+    # compute_elevation_m checks N*y <= MAX_NY_KERNEL
     m = compute_elevation_m(model, n, y)
     tot_e = total_energy_table(energy, n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
-    fields = fields_table(n, y)
-    field_term = _field_term(fields, gamma, y)
-    qbars = [_normalize_log(-beta * tot_e + field_term) for beta in BETA_GRID]
+    qbars, psis = _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, BETA_GRID, kernel)
 
     # kappa1: smallest constant with ||qbar_b1 - qbar_b2||_inf <= kappa1 e^{-b1 B}
     kappa1 = 1.0
@@ -473,15 +460,8 @@ def compute_constants(model, n: int, y: int, gamma: float,
         for b1, prev, cur in zip(BETA_GRID, qbars, qbars[1:]):
             kappa1 = max(kappa1, np.abs(cur - prev).max() * math.exp(b1 * b_const))
 
-    # compute_elevation_m has already checked N*y <= MAX_NY_KERNEL
-    nbr, delta_e, delta_h = _flip_tables(tot_e, fields, n, y, gamma)
-    gap = _FlipGap(nbr, replica_swap(n, y) if y >= 2 else None, n)
-    psi_values = []
-    scaled = []
-    for beta, qbar in zip(BETA_GRID, qbars):
-        psi = gap(_flip_moves(delta_e, delta_h, beta, kernel), qbar)
-        psi_values.append((float(beta), float(psi)))
-        scaled.append(psi * math.exp(beta * m))
+    psi_values = [(float(beta), psi) for beta, psi in zip(BETA_GRID, psis)]
+    scaled = [psi * math.exp(beta * m) for beta, psi in zip(BETA_GRID, psis)]
     return ConvergenceConstants(B=b_const, Bprime=float(b_prime), m=float(m),
                                 kappa1=float(kappa1), psi_values=psi_values,
                                 N0=n0, tildeN0=tilde, c=float(min(scaled)), C=float(max(scaled)))
@@ -510,13 +490,19 @@ def validate_schedule(stages, m: float, kappa1: float) -> ScheduleVerdict:
     """Finite-horizon check of the convergence criterion
     -sum_k T_k e^{-beta_k m} + n log kappa1 -> -infinity.
 
-    stages: sequence of (beta_k, T_k). PASS requires the trace to end below
+    stages: sequence of at least two (beta_k, T_k), all finite, with T_k >= 1;
+    m and kappa1 finite, kappa1 > 0. A ValueError refuses any other input.
+    PASS requires the trace to end below
     -SCHEDULE_THRESHOLD with a negative trailing-quarter slope.
     """
-    if len(stages) == 0:
-        raise ValueError("empty schedule")
+    if len(stages) < 2:
+        raise ValueError(f"a schedule needs at least two stages, got {len(stages)}")
+    if not (math.isfinite(m) and math.isfinite(kappa1) and kappa1 > 0):
+        raise ValueError(f"m and kappa1 must be finite and kappa1 positive, got {m}, {kappa1}")
     betas = np.array([s[0] for s in stages], dtype=np.float64)
     lengths = np.array([s[1] for s in stages], dtype=np.float64)
+    if not (np.isfinite(betas).all() and np.isfinite(lengths).all()):
+        raise ValueError("stage betas and lengths must be finite")
     if np.any(lengths < 1):
         raise ValueError("stage lengths must be >= 1")
     weights = lengths * np.exp(-betas * m)
@@ -584,25 +570,3 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
     states = replica_states(n, y)
     event = np.all(in_ball[states], axis=1)
     return float(qbar[event].sum())
-
-
-@dataclass
-class MinimumInfo:
-    index: int
-    counts: dict             # radius -> number of global minima in the ball
-    isolation_radius: int    # largest R <= N with exactly one minimum in B_R
-
-
-def classify_minima(model, n: int) -> list[MinimumInfo]:
-    """For each global minimum: the (R, k)-density profile over R = 0..N and
-    the isolation radius, one less than the nearest other minimum's distance."""
-    energy = energy_table_of(model, n)
-    minima = np.flatnonzero(energy <= energy.min() + 1e-12)
-    infos = []
-    for m_idx in minima:
-        dist = hamming_table(n, int(m_idx))[minima]
-        others = dist[dist > 0]
-        infos.append(MinimumInfo(index=int(m_idx),
-                                 counts={r: int(np.sum(dist <= r)) for r in range(n + 1)},
-                                 isolation_radius=int(others.min()) - 1 if others.size else n))
-    return infos

@@ -42,7 +42,3 @@ def random_integer_energies(n: int, rng: np.random.Generator) -> TabulatedEnergy
 
 def dense_center_index(n: int = 4) -> int:
     return 2**n - 1
-
-
-def isolated_index() -> int:
-    return 0

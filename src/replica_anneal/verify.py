@@ -79,16 +79,10 @@ def suite_gap_scaling() -> dict:
     model = fixtures.double_well(2)
     n, y, gamma = 2, 2, 0.5
     m = exact.compute_elevation_m(model, n, y)
-    swap = exact.replica_swap(n, y)
     betas = np.arange(5.0, 15.5, 1.0)
-    logs = []
-    scaled = []
-    for beta in betas:
-        _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
-        k_mat = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
-        _, _, psi = exact.stationary_and_gap(k_mat, qbar, swap)
-        logs.append(-math.log(psi))
-        scaled.append(psi * math.exp(beta * m))
+    psis = exact.spectral_gaps(model, n, y, gamma, betas, "two-stage")
+    logs = [-math.log(psi) for psi in psis]
+    scaled = [psi * math.exp(beta * m) for beta, psi in zip(betas, psis)]
     slope = float(np.polyfit(betas, logs, 1)[0])
     bracket_ratio = max(scaled) / min(scaled)
     passed = abs(slope - m) <= 0.05 * m and bracket_ratio <= 2.0

@@ -159,6 +159,25 @@ def test_validate_schedule_stages_file_fails(tmp_path, capsys):
     assert doc["verdict"] == "FAIL"
 
 
+@pytest.mark.parametrize("stages, message", [
+    ([], "at least two stages, got 0"),
+    ([[1.0, 5]], "at least two stages, got 1"),
+    ([[1.0, 5], [math.nan, 5]], "finite"),
+    ([[1.0, 5], [2.0]], "not enough values to unpack"),
+], ids=["empty", "one-stage", "nan-beta", "short-stage"])
+def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_path, capsys):
+    """Exit code 2 and one line on stderr, no traceback; code 1 stays a FAIL
+    verdict."""
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps(stages))
+    code = cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("validate-schedule: ") and message in out.err
+    assert "Traceback" not in out.err
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5"])
 def test_validate_schedule_refuses_a_non_positive_horizon(horizon, capsys):
     with pytest.raises(SystemExit) as err:

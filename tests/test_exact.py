@@ -148,27 +148,11 @@ def test_stationary_and_gap_rejects_nan():
         exact.stationary_and_gap(k, np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (4, 0), (1, 4), (5, 10)],
-                         ids=["fixed-fixed", "pair-fixed", "partner-fixed", "pair-partner",
-                              "fixed-fixed-off-diagonal"])
-def test_swap_check_reaches_every_entry_and_rejects_nan(entry, monkeypatch):
-    """N=2, y=2: 0, 5, 10 and 15 are fixed, 1 and 4 are a pair. With the
-    detailed-balance check stubbed out, a NaN anywhere, partner rows
-    included, is caught by the swap check alone."""
-    model, n, y = fixtures.double_well(2), 2, 2
-    _, qbar, _ = exact.enumerate_qbar(model, n, y, 1.0, 0.5)
-    k = exact.build_kernel_matrix(model, n, y, 1.0, 0.5)
-    k[entry] = np.nan
-    monkeypatch.setattr(exact, "_detailed_balance_error", lambda matrix, q: 0.0)
-    with pytest.raises(exact.NonReversibleError, match="swap"):
-        exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
-
-
 @pytest.mark.parametrize("block", [1, 3, 200, 1 << 40])
 def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
-    """S = 64: block 1 and 3 give one row at a time, 200 gives chunks of 25
-    rows that do not divide S and gap blocks of 3 rows that straddle the
-    fixed and pair states, and 1 << 40 one block."""
+    """S = 64: block 1 and 3 score one ensemble and compare one entry pair at
+    a time, 200 scores 25 or 50 ensembles and compares 7 x 7 tiles at a time,
+    neither of which divides S, and 1 << 40 does each in one block."""
     def outputs():
         out = []
         for n, y in [(3, 2), (2, 3)]:
@@ -176,9 +160,7 @@ def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
             direct, folded, z = exact.enumerate_qbar(model, n, y, 1.3, 0.7)
             k = exact.build_kernel_matrix(model, n, y, 1.3, 0.7)
             out += [direct, folded, z]
-            for swap in (None, exact.replica_swap(n, y)):
-                stationary, lam, psi = exact.stationary_and_gap(k, folded, swap)
-                out += [stationary, lam, psi]
+            out += exact.stationary_and_gap(k, folded)
         return out
 
     expected = outputs()
@@ -214,16 +196,6 @@ def test_enumerate_qbar_scores_in_bounded_memory():
     assert _traced_peak(exact.enumerate_qbar, model, 8, 2, 1.0, 0.5) < 32 * 2**20
 
 
-def test_split_gap_makes_no_copy_of_the_kernel():
-    """S = 1024: the two half-size blocks and eigvalsh's copy of one fit in
-    less than the 8 MB kernel."""
-    model, n, y = fixtures.random_integer_energies(5, make_rng(1)), 5, 2
-    _, qbar, _ = exact.enumerate_qbar(model, n, y, 3.0, 0.5)
-    k = exact.build_kernel_matrix(model, n, y, 3.0, 0.5)
-    swap = exact.replica_swap(n, y)
-    assert _traced_peak(exact.stationary_and_gap, k, qbar, swap) < k.nbytes
-
-
 def test_replica_swap_is_an_involution_fixing_the_aligned_ensembles():
     for n, y in [(1, 2), (3, 2), (2, 3), (1, 4), (2, 4)]:
         swap = exact.replica_swap(n, y)
@@ -244,52 +216,19 @@ def test_kernel_off_diagonal_is_exactly_swap_invariant(kernel):
         assert np.array_equal(k[np.ix_(swap, swap)][off], k[off])
 
 
-@pytest.mark.parametrize("n,y", [(1, 2), (4, 2), (3, 3), (2, 4)])
-def test_split_gap_equals_unsplit_gap(n, y):
-    """The even and odd blocks of the replica exchange give the gap of the
-    whole Laplacian, for both kernels, at infinite, moderate and low temperature."""
-    model = fixtures.random_integer_energies(n, make_rng(100 + n * y))
-    swap = exact.replica_swap(n, y)
-    for kernel in ("two-stage", "combined"):
-        for beta in (0.0, 2.0, 15.0):
-            _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, 0.5)
-            k = exact.build_kernel_matrix(model, n, y, beta, 0.5, kernel)
-            _, _, psi_full = exact.stationary_and_gap(k, qbar)
-            _, _, psi_split = exact.stationary_and_gap(k, qbar, swap)
-            assert abs(psi_split - psi_full) <= 1e-13
-
-
 def test_gap_held_by_the_odd_block():
     """N=1, y=2 under the uniform law: the mixed ensembles 1 and 2 are sticky,
-    so the slowest mode is e_1 - e_2, which only the odd block holds. Its rate
-    is the escape 2 eps + delta plus the direct move delta; the even block's
-    slowest nonzero mode decays at 4 eps."""
+    so the slowest mode is e_1 - e_2, odd under the replica exchange. Its
+    rate is the escape 2 eps + delta plus the direct move delta; the slowest
+    even nonzero mode decays at 4 eps."""
     eps, delta, both = 0.01, 0.002, 0.4
     k = np.array([[1 - both - 2 * eps, eps, eps, both],
                   [eps, 1 - 2 * eps - delta, delta, eps],
                   [eps, delta, 1 - 2 * eps - delta, eps],
                   [both, eps, eps, 1 - both - 2 * eps]])
     qbar = np.full(4, 0.25)
-    for swap in (None, exact.replica_swap(1, 2)):
-        _, _, psi = exact.stationary_and_gap(k, qbar, swap)
-        assert psi == pytest.approx(2 * eps + 2 * delta, abs=1e-15)
-
-
-def test_stationary_and_gap_rejects_a_kernel_the_swap_changes():
-    model, n, y = fixtures.double_well(2), 2, 2
-    _, qbar, _ = exact.enumerate_qbar(model, n, y, 1.0, 0.5)
-    k = exact.build_kernel_matrix(model, n, y, 1.0, 0.5)
-    # flip of replica 0's first spin, reweighted in both directions: still in
-    # detailed balance and stochastic, but its swap image (replica 1) is not
-    eps = 1e-3
-    back = eps * qbar[0] / qbar[1]
-    k[0, 1] += eps
-    k[0, 0] -= eps
-    k[1, 0] += back
-    k[1, 1] -= back
-    exact.stationary_and_gap(k, qbar)
-    with pytest.raises(exact.NonReversibleError, match="swap"):
-        exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
+    _, _, psi = exact.stationary_and_gap(k, qbar)
+    assert psi == pytest.approx(2 * eps + 2 * delta, abs=1e-15)
 
 
 def _reference_gap(model, n, y, beta, gamma, mp):
@@ -317,11 +256,11 @@ def _reference_gap(model, n, y, beta, gamma, mp):
     return sorted(mp.eigsy(lap, eigvals_only=True))[1]
 
 
-@pytest.mark.parametrize("path", ["whole", "split", "moves"])
+@pytest.mark.parametrize("path", ["whole", "moves"])
 def test_gap_matches_a_50_digit_reference(path):
     """Criterion 4's instance at beta = 20, where psi ~ 5e-10 and 1 - lambda_2
-    loses all but about six digits: the dense kernel's gap unsplit and split,
-    and compute_constants' gap from the moves table."""
+    loses all but about six digits: the dense kernel's gap and the gap from
+    the moves table."""
     import mpmath  # a declared test dependency: this guard must not skip
     model, n, y, beta, gamma = fixtures.double_well(2), 2, 2, 20.0, 0.5
     with mpmath.workdps(50):
@@ -332,8 +271,7 @@ def test_gap_matches_a_50_digit_reference(path):
         psi = gap(moves, qbar)
     else:
         k = exact.build_kernel_matrix(model, n, y, beta, gamma, "two-stage")
-        swap = exact.replica_swap(n, y) if path == "split" else None
-        _, _, psi = exact.stationary_and_gap(k, qbar, swap)
+        _, _, psi = exact.stationary_and_gap(k, qbar)
     assert float(abs(psi - ref) / ref) <= 1e-7
 
 
@@ -341,22 +279,21 @@ def _flip_gap(model, n, y, beta, gamma, kernel):
     """compute_constants' gap function for (N, y) and its moves table at beta."""
     tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
     nbr, delta_e, delta_h = exact._flip_tables(tot_e, exact.fields_table(n, y), n, y, gamma)
-    gap = exact._FlipGap(nbr, exact.replica_swap(n, y) if y >= 2 else None, n)
+    gap = exact._FlipGap(nbr, n, y)
     return gap, exact._flip_moves(delta_e, delta_h, beta, kernel)
 
 
-@pytest.mark.parametrize("n,y", [(4, 1), (3, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("n,y", [(4, 1), (1, 2), (3, 2), (4, 2), (3, 3), (2, 4)])
 def test_moves_gap_equals_the_dense_gap(n, y):
-    """psi from the moves table against stationary_and_gap on the dense
-    kernel, both kernels, beta up to 20. At y = 1 there is no swap: every
-    state is fixed and fixed rows have fixed neighbours."""
+    """psi from the even and odd blocks of the moves table against the whole
+    dense Laplacian's, both kernels, beta up to 20. At y = 1 there is no swap:
+    every state is fixed and fixed rows have fixed neighbours."""
     model = fixtures.random_integer_energies(n, make_rng(200 + n * y))
-    swap = exact.replica_swap(n, y) if y >= 2 else None
     for kernel in ("two-stage", "combined"):
         for beta in (0.0, 2.0, 15.0, 20.0):
             _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, 0.5)
             k = exact.build_kernel_matrix(model, n, y, beta, 0.5, kernel)
-            _, _, psi_dense = exact.stationary_and_gap(k, qbar, swap)
+            _, _, psi_dense = exact.stationary_and_gap(k, qbar)
             gap, moves = _flip_gap(model, n, y, beta, 0.5, kernel)
             assert abs(gap(moves, qbar) - psi_dense) <= 1e-13
 
@@ -376,7 +313,7 @@ def test_moves_gap_held_by_the_odd_block():
     k = np.zeros((idx.size, idx.size))
     k[idx[:, None], nbr] = moves
     k[idx, idx] = 1.0 - k.sum(axis=1)
-    gap = exact._FlipGap(nbr, exact.replica_swap(n, y), n)
+    gap = exact._FlipGap(nbr, n, y)
     psi = gap(moves, qbar)
     assert abs(psi - exact.stationary_and_gap(k, qbar)[2]) <= 1e-13
     assert psi < 0.6 * np.linalg.eigvalsh(gap.even, UPLO="L")[1]
@@ -397,7 +334,7 @@ def test_compute_constants_gaps_equal_the_dense_gaps(kernel):
     for beta, psi in consts.psi_values:
         _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
         k = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
-        _, _, psi_dense = exact.stationary_and_gap(k, qbar, exact.replica_swap(n, y))
+        _, _, psi_dense = exact.stationary_and_gap(k, qbar)
         assert abs(psi - psi_dense) <= 1e-13
 
 
@@ -429,6 +366,20 @@ def test_flip_checks_reach_every_move(kind, perturb, check, monkeypatch):
     with pytest.raises(exact.NonReversibleError,
                        match="detailed balance" if check == "balance" else "swap"):
         gap(moves, qbar)
+
+
+@pytest.mark.parametrize("kernel", ["two-stage", "combined"])
+def test_spectral_gaps_are_compute_constants_gaps(kernel):
+    model, n, y, gamma = _oracle_gap_instance(1), 5, 2, 0.5
+    consts = exact.compute_constants(model, n, y, gamma, kernel)
+    gaps = exact.spectral_gaps(model, n, y, gamma, exact.BETA_GRID, kernel)
+    assert gaps == [psi for _, psi in consts.psi_values]
+
+
+def test_spectral_gaps_refuse_past_the_kernel_limit():
+    model = fixtures.random_integer_energies(7, make_rng(0))
+    with pytest.raises(exact.SizeLimitError):
+        exact.spectral_gaps(model, 7, 2, 0.5, [1.0])
 
 
 def test_compute_constants_builds_no_kernel():
@@ -516,6 +467,30 @@ def test_validate_schedule_empty_errors():
         exact.validate_schedule([], m=1.0, kappa1=1.0)
 
 
+@pytest.mark.parametrize("stages, m, kappa1, message", [
+    ([(1.0, 5.0)], 1.0, math.e, "at least two stages"),
+    ([(1.0, 5.0), (math.nan, 5.0)], 1.0, math.e, "finite"),
+    ([(1.0, 5.0), (2.0, math.nan)], 1.0, math.e, "finite"),
+    ([(math.inf, 5.0), (2.0, 5.0)], 1.0, math.e, "finite"),
+    ([(1.0, 5.0), (2.0, math.inf)], 1.0, math.e, "finite"),
+    ([(1.0, 5.0), (2.0, 5.0)], math.nan, math.e, "finite"),
+    ([(1.0, 5.0), (2.0, 5.0)], 1.0, math.nan, "finite"),
+    ([(1.0, 5.0), (2.0, 5.0)], 1.0, 0.0, "kappa1 positive"),
+], ids=["one-stage", "nan-beta", "nan-length", "inf-beta", "inf-length", "nan-m",
+        "nan-kappa1", "zero-kappa1"])
+def test_validate_schedule_refuses_what_it_cannot_judge(stages, m, kappa1, message):
+    """One stage has no trailing slope, a NaN gives a NaN verdict and
+    log kappa1 needs kappa1 > 0."""
+    with pytest.raises(ValueError, match=message):
+        exact.validate_schedule(stages, m=m, kappa1=kappa1)
+
+
+def test_validate_schedule_judges_two_stages():
+    verdict = exact.validate_schedule([(0.0, 10.0), (0.0, 10.0)], m=1.0, kappa1=1.0)
+    assert verdict.passed
+    assert verdict.final_value == -20.0 and verdict.trailing_slope == pytest.approx(-10.0)
+
+
 def test_limit_distribution_flat_energy():
     model = TabulatedEnergy(np.zeros(4), n=2)
     rep = exact.limit_distribution_check(model, 2, 2, gamma=0.8)
@@ -542,21 +517,6 @@ def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
     exact.compute_constants(cluster4, 4, 2, gamma=0.5)
     # besides its own: compute_elevation_m's table; every kernel build shares both
     assert built == {"total_energy_table": 2, "fields_table": 1}
-
-
-def test_classify_minima_cluster(cluster4):
-    by_index = {info.index: info for info in exact.classify_minima(cluster4, 4)}
-    center = fixtures.dense_center_index(4)
-    assert by_index[center].counts[1] == 5  # (1,5)-dense
-    iso = by_index[fixtures.isolated_index()]
-    assert iso.counts[1] == 1 and iso.counts[2] == 1
-    assert iso.isolation_radius == 2  # nearest other minimum at distance 3
-
-
-def test_classify_minima_unique_minimum():
-    table = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    (info,) = exact.classify_minima(TabulatedEnergy(table, n=3), 3)
-    assert info.isolation_radius == 3
 
 
 def test_hamming_table():
