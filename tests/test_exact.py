@@ -283,7 +283,29 @@ def _flip_gap(model, n, y, beta, gamma, kernel):
     return gap, exact._flip_moves(delta_e, delta_h, beta, kernel)
 
 
-@pytest.mark.parametrize("n,y", [(4, 1), (1, 2), (3, 2), (4, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("n,y", [(1, 2), (4, 2), (3, 3), (2, 4)])
+def test_split_gap_equals_unsplit_gap(n, y):
+    """The even and odd blocks of the replica exchange hold, together, the
+    whole spectrum of the dense symmetrised Laplacian, not only its second
+    smallest eigenvalue, for both kernels, at infinite, moderate and low
+    temperature."""
+    model = fixtures.random_integer_energies(n, make_rng(100 + n * y))
+    for kernel in ("two-stage", "combined"):
+        for beta in (0.0, 2.0, 15.0):
+            _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, 0.5)
+            k = exact.build_kernel_matrix(model, n, y, beta, 0.5, kernel)
+            sq = np.sqrt(qbar)
+            lap = -sq[:, None] * k / sq
+            np.fill_diagonal(lap, 1.0 - np.diag(k))
+            gap, moves = _flip_gap(model, n, y, beta, 0.5, kernel)
+            psi = gap(moves, qbar)
+            split = np.sort(np.concatenate([np.linalg.eigvalsh(gap.even, UPLO="L"),
+                                            np.linalg.eigvalsh(gap.odd, UPLO="L")]))
+            assert np.abs(split - np.linalg.eigvalsh(lap)).max() <= 1e-13
+            assert abs(psi - exact.stationary_and_gap(k, qbar)[2]) <= 1e-13
+
+
+@pytest.mark.parametrize("n,y", [(4, 1), (3, 2), (3, 3), (2, 4)])
 def test_moves_gap_equals_the_dense_gap(n, y):
     """psi from the even and odd blocks of the moves table against the whole
     dense Laplacian's, both kernels, beta up to 20. At y = 1 there is no swap:
