@@ -84,13 +84,25 @@ def cmd_exact_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _read_stages(path: str) -> list:
+    """(beta_k, T_k) stages from a JSON list of pairs. A file that cannot be
+    read, or a stage that is not a pair, raises ValueError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err.strerror}") from err
+    try:
+        return [(float(b), float(t)) for b, t in json.loads(text)]
+    except TypeError as err:
+        raise ValueError(f"each stage must be a [beta, T] pair: {err}") from err
+
+
 def cmd_validate_schedule(args) -> int:
     try:
         if args.azencott:
             stages = verify.azencott_stages(args.horizon)
         elif args.stages_file:
-            doc = json.loads(Path(args.stages_file).read_text())
-            stages = [(float(b), float(t)) for b, t in doc]
+            stages = _read_stages(args.stages_file)
         else:
             raise SystemExit("provide --stages-file or --azencott")
         verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)

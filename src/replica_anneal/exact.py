@@ -276,6 +276,13 @@ class _FlipGap:
     second smallest of their spectra together. At y = 1 every state is fixed
     and the even block is the whole Laplacian.
 
+    Only the even block is diagonalised every time. Its second eigenvalue
+    psi_even is psi unless the odd block has an eigenvalue at or below it,
+    which a Cholesky factorisation of the odd block minus psi_even * I rules
+    out when it succeeds; when it fails, the odd block is diagonalised too.
+    At gamma = 0 the replicas are independent and the odd block repeats
+    psi_even, so which block gives psi is decided by rounding.
+
     The block layout depends only on (N, y), so it is built once: states in
     the order fixed, pairs, partners. Each move of a fixed or pair row is one
     entry of the even block, and a pair row's move to a pair or partner is
@@ -333,11 +340,23 @@ class _FlipGap:
         np.put(self.odd, self.odd_at, lap[self.odd_src] * self.odd_sign)
         escape = moves.sum(axis=1)
         np.fill_diagonal(self.even, escape[self.rows])
-        np.fill_diagonal(self.odd, escape[self.pairs])
-        low = [np.linalg.eigvalsh(self.even, UPLO="L")[:2]]
-        if self.pairs.size:
-            low.append(np.linalg.eigvalsh(self.odd)[:1])
-        return float(np.sort(np.concatenate(low))[1])
+        low = np.linalg.eigvalsh(self.even, UPLO="L")[:2]
+        if self.pairs.size and not self._odd_above(escape[self.pairs], low[1]):
+            low = np.sort(np.append(low, np.linalg.eigvalsh(self.odd)[0]))
+        return float(low[1])
+
+    def _odd_above(self, escape: np.ndarray, level: float) -> bool:
+        """Whether every eigenvalue of the odd block exceeds level: the block
+        minus level * I has a Cholesky factor. The odd block keeps its escape
+        diagonal on return."""
+        np.fill_diagonal(self.odd, escape - level)
+        try:
+            np.linalg.cholesky(self.odd)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            np.fill_diagonal(self.odd, escape)
 
 
 class _UnionFind:
@@ -430,7 +449,9 @@ def spectral_gaps(model, n: int, y: int, gamma: float, betas,
     energy-change and field-change tables and the block layout are built
     once for all betas. The off-diagonal Laplacian entries are the dense
     path's to the bit; the escape rates are summed over the moves, so psi
-    can differ from the dense path's in its last bits.
+    can differ from the dense path's in its last bits. For y >= 2 each beta
+    costs one eigvalsh of the even replica-exchange block and a Cholesky test
+    of the odd one, which is diagonalised only if it may hold psi (_FlipGap).
     """
     _check_size(n, y, MAX_NY_KERNEL)
     tot_e = total_energy_table(energy_table_of(model, n), n, y)

@@ -164,7 +164,8 @@ def test_validate_schedule_stages_file_fails(tmp_path, capsys):
     ([[1.0, 5]], "at least two stages, got 1"),
     ([[1.0, 5], [math.nan, 5]], "finite"),
     ([[1.0, 5], [2.0]], "not enough values to unpack"),
-], ids=["empty", "one-stage", "nan-beta", "short-stage"])
+    ([1.0, 2.0], "each stage must be a [beta, T] pair"),
+], ids=["empty", "one-stage", "nan-beta", "short-stage", "bare-number"])
 def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_path, capsys):
     """Exit code 2 and one line on stderr, no traceback; code 1 stays a FAIL
     verdict."""
@@ -176,6 +177,15 @@ def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_
     assert out.out == ""
     assert out.err.startswith("validate-schedule: ") and message in out.err
     assert "Traceback" not in out.err
+
+
+def test_validate_schedule_reports_a_missing_stages_file(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code = cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"validate-schedule: cannot read {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,11 +324,24 @@ def test_moves_gap_equals_the_dense_gap(n, y):
             assert abs(gap(moves, qbar) - psi_dense) <= 1e-13
 
 
-def test_moves_gap_held_by_the_odd_block():
+def _counted_eigvalsh(monkeypatch) -> list:
+    """The shapes of the matrices np.linalg.eigvalsh is called on from now."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_moves_gap_held_by_the_odd_block(monkeypatch):
     """N=3, y=2, q ∝ exp(-2 k), k the number of sites where replicas 0 and 1
     agree, and Metropolis moves: swap-invariant and reversible, with the
     slowest mode odd (disagreeing replicas trade places), which no kernel of
-    an energy model gives. Pair rows here have pair and partner neighbours."""
+    an energy model gives. Pair rows here have pair and partner neighbours.
+    The odd block fails its Cholesky test, so both blocks are diagonalised."""
     n, y = 3, 2
     idx = np.arange(2 ** (n * y))
     nbr = idx[:, None] ^ (1 << np.arange(n * y))
@@ -336,7 +353,9 @@ def test_moves_gap_held_by_the_odd_block():
     k[idx[:, None], nbr] = moves
     k[idx, idx] = 1.0 - k.sum(axis=1)
     gap = exact._FlipGap(nbr, n, y)
+    calls = _counted_eigvalsh(monkeypatch)
     psi = gap(moves, qbar)
+    assert calls == [gap.even.shape, gap.odd.shape]
     assert abs(psi - exact.stationary_and_gap(k, qbar)[2]) <= 1e-13
     assert psi < 0.6 * np.linalg.eigvalsh(gap.even, UPLO="L")[1]
 
@@ -358,6 +377,83 @@ def test_compute_constants_gaps_equal_the_dense_gaps(kernel):
         k = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
         _, _, psi_dense = exact.stationary_and_gap(k, qbar)
         assert abs(psi - psi_dense) <= 1e-13
+
+
+@pytest.mark.parametrize("kernel", ["two-stage", "combined"])
+def test_compute_constants_diagonalises_only_the_even_blocks(kernel, monkeypatch):
+    """On the exact-oracle gap instance every gap lies in the even block: one
+    eigvalsh per beta, the odd block being decided by its Cholesky test."""
+    calls = _counted_eigvalsh(monkeypatch)
+    exact.compute_constants(_oracle_gap_instance(0), 5, 2, 0.5, kernel)
+    assert calls == [(528, 528)] * exact.BETA_GRID.size
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaps_follow_the_three_eigenvalue_rule(seed, monkeypatch):
+    """At gamma = 0.5 psi is, to the bit, the second smallest of the even
+    block's two lowest eigenvalues and the odd block's lowest, on the
+    exact-oracle gap instances. At gamma = 0 the replicas are independent,
+    the odd block repeats the even block's psi to rounding, and psi is the
+    one-replica dense gap over y."""
+    model, n, y = _oracle_gap_instance(seed), 5, 2
+    rules = []
+
+    class Checked(exact._FlipGap):
+        def __call__(self, moves, qbar):
+            psi = super().__call__(moves, qbar)
+            low = np.concatenate([np.linalg.eigvalsh(self.even, UPLO="L")[:2],
+                                  np.linalg.eigvalsh(self.odd)[:1]])
+            rules.append(np.sort(low)[1])
+            return psi
+
+    for kernel in ("two-stage", "combined"):
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_FlipGap", Checked)
+            rules.clear()
+            assert exact.spectral_gaps(model, n, y, 0.5, exact.BETA_GRID, kernel) == rules
+        gaps = exact.spectral_gaps(model, n, y, 0.0, exact.BETA_GRID, kernel)
+        for beta, psi in zip(exact.BETA_GRID, gaps):
+            _, qbar, _ = exact.enumerate_qbar(model, n, 1, beta, 0.0)
+            k = exact.build_kernel_matrix(model, n, 1, beta, 0.0, kernel)
+            assert abs(psi - exact.stationary_and_gap(k, qbar)[2] / y) <= 1e-13
+
+
+@pytest.mark.parametrize("path", ["whole", "moves"])
+def test_gap_of_a_lazy_kernel_scales_with_its_moves(path):
+    """Every move scaled by 2^-60, a kernel that almost never moves: the
+    Laplacian and psi scale by 2^-60, because the escape rates are summed over
+    the moves. Taken as 1 - K_ii, they would round to 0."""
+    model, n, y, beta, gamma, lazy = fixtures.double_well(2), 2, 2, 2.0, 0.5, 2.0 ** -60
+    _, qbar, _ = exact.enumerate_qbar(model, n, y, beta, gamma)
+    for kernel in ("two-stage", "combined"):
+        if path == "moves":
+            gap, moves = _flip_gap(model, n, y, beta, gamma, kernel)
+            psi, psi_lazy = gap(moves, qbar), gap(moves * lazy, qbar)
+        else:
+            k = exact.build_kernel_matrix(model, n, y, beta, gamma, kernel)
+            psi = exact.stationary_and_gap(k, qbar)[2]
+            k *= lazy
+            np.fill_diagonal(k, 1.0 - (k.sum(axis=1) - np.diag(k)))
+            psi_lazy = exact.stationary_and_gap(k, qbar)[2]
+        assert abs(psi_lazy / lazy - psi) <= 1e-13 * psi
+
+
+def test_spectral_gaps_run_without_scipy():
+    """numpy is the only runtime dependency that pyproject.toml declares:
+    every module imports, and spectral_gaps runs, with scipy unimportable."""
+    script = ("import importlib, pkgutil, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import replica_anneal\n"
+              "for module in pkgutil.iter_modules(replica_anneal.__path__):\n"
+              "    importlib.import_module(f'replica_anneal.{module.name}')\n"
+              "from replica_anneal import exact, fixtures\n"
+              "psi = exact.spectral_gaps(fixtures.double_well(2), 2, 2, 0.5, [1.0, 5.0])\n"
+              "assert all(p > 0 for p in psi), psi\n")
+    src = Path(exact.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-3000:]
 
 
 # N=2, y=2: 0, 5, 10 and 15 are fixed, 1 < 4 = P1 a pair; bit 2 is replica 1's spin 0
