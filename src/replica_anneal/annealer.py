@@ -266,13 +266,11 @@ class Chain:
     def __init__(self, model, y, schedule, kernel="combined", seed=0):
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
-        self.model = model
         self.schedule = schedule
         self.kernel = kernel
         self.rng = make_rng(seed)
         self.ensemble = ReplicaEnsemble.random(model, y, self.rng)
         self.states = self.ensemble.states
-        self.iteration = 0
         self.stats = RunStats()
         self._draws = iter(())
 
@@ -287,8 +285,8 @@ class Chain:
         """
         draw = next(self._draws, None)
         if draw is None:
-            k = max(1, min(DRAW_BLOCK, self.schedule.it_max - self.iteration))
-            betas, gammas = self.schedule.values(self.iteration, k)
+            k = max(1, min(DRAW_BLOCK, self.schedule.it_max - self.stats.iterations))
+            betas, gammas = self.schedule.values(self.stats.iterations, k)
             self._draws = zip(*draw_steps(self.rng, self.ensemble.y, self.ensemble.n, k),
                               betas, gammas)
             draw = next(self._draws)
@@ -307,14 +305,13 @@ class Chain:
         if accepted:
             self.ensemble.apply_flip(a, i)
             self.stats.active_transitions += 1
-        self.iteration += 1
-        self.stats.iterations = self.iteration
+        self.stats.iterations += 1
         return accepted
 
     def run(self) -> RunStats:
         start = time.perf_counter()
         it_max = self.schedule.it_max
-        while self.iteration < it_max:
+        while self.stats.iterations < it_max:
             self.step()
         self.stats.duration_seconds = time.perf_counter() - start
         return self.stats

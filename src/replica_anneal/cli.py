@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from . import exact, verify
+from .annealer import KERNELS
 from .data_io import ExperimentConfig, _parse_seed, write_results
 from .experiments import build_schedule, robustness_eval, sweep_beta, sweep_gamma, train_run
 
@@ -17,12 +18,18 @@ DESK_SCALE_CAP = 100_000
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.kernel:
-        config.kernel = args.kernel
-    it_max = build_schedule(config.schedule).it_max
+    """The run's config; one that cannot be read or is refused exits 2, with
+    the reason on stderr."""
+    try:
+        config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+        if args.seed is not None:
+            config.seed = args.seed
+        if args.kernel:
+            config.kernel = args.kernel
+        it_max = build_schedule(config.schedule).it_max
+    except (ValueError, OSError) as err:
+        print(f"replica-anneal {args.command}: {err}", file=sys.stderr)
+        raise SystemExit(2) from err
     if not args.full_scale and it_max > DESK_SCALE_CAP:
         raise SystemExit(
             f"it_max {it_max} exceeds the desk-scale cap "
@@ -121,6 +128,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="replica-anneal")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=_parse_seed, default=None,
                        help="an integer, or a sweep row's base/point/rep")
-        p.add_argument("--kernel", choices=("two-stage", "combined"), default=None)
+        p.add_argument("--kernel", choices=KERNELS, default=None)
         p.add_argument("--full-scale", action="store_true",
                        help=f"allow runs beyond {DESK_SCALE_CAP} iterations")
 
@@ -161,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="perturbation robustness of a trained model")
     common(p)
-    p.add_argument("--p", type=float, nargs="+",
+    p.add_argument("--p", type=_probability, nargs="+",
                    default=[0.0, 0.001, 0.01, 0.1, 0.5])
     p.add_argument("--repetitions", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_robustness)

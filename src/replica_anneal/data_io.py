@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealer import make_rng
+from .annealer import KERNELS, make_rng
 from .energies import ClassifierDataset
 
 MAGIC_IMAGES = 2051
@@ -181,7 +181,6 @@ class ExperimentConfig:
     replicas: int = 1
     seed: int = 0
     kernel: str = "combined"
-    output: str | None = None
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -189,11 +188,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """The config of a document; a ValueError refuses an unknown field, another
+        schema_version, replicas other than an integer >= 1, an unknown kernel
+        and a seed that _check_seed refuses."""
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**doc)
+        config = cls(**doc)
+        if config.schema_version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {config.schema_version!r} is not {SCHEMA_VERSION}")
+        if type(config.replicas) is not int or config.replicas < 1:
+            raise ValueError(f"replicas must be an integer >= 1, got {config.replicas!r}")
+        if config.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
+        _check_seed(config.seed)
+        return config
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -254,8 +264,15 @@ def write_results(records, path) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in RESULT_COLUMNS])
 
 
+def _check_seed(seed):
+    """The seed, after refusing anything but a non-negative integer or a list of them."""
+    if not all(type(v) is int and v >= 0 for v in (seed if isinstance(seed, list) else [seed])):
+        raise ValueError(f"a seed is a non-negative integer or a list of them, got {seed!r}")
+    return seed
+
+
 def _parse_seed(text: str):
-    return [int(v) for v in text.split("/")] if "/" in text else int(text)
+    return _check_seed([int(v) for v in text.split("/")] if "/" in text else int(text))
 
 
 # a CSV column's parser, float where not listed; the optional columns read "" as None

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .annealer import make_rng
+from .annealer import LOG2, make_rng
 from .spins import all_pm1, as_spins
 
 
@@ -212,7 +211,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
-_LOG_2 = math.log(2.0)
 # the input value of pixel k in an 8-bit image, k/255
 PIXEL_LEVELS = np.arange(256) / 255.0
 PIXEL_LEVELS.setflags(write=False)  # shared by every index built on pixel data
@@ -403,7 +401,7 @@ class CrossEntropyState:
         self._lse[rows] = lse
         top = np.maximum(self._lse_top.take(rows), lse)
         self._lse_top[rows] = top
-        top -= _LOG_2
+        top -= LOG2
         low = rows[lse < top]
         if low.size:
             self._lse[low] = _logsumexp(self._logits.take(low, axis=1), axis=0)
@@ -434,8 +432,15 @@ class TabulatedEnergy:
         bits = (w > 0).astype(np.int64)
         return int(bits @ (1 << np.arange(w.size, dtype=np.int64)))
 
+    def _index(self, w) -> int:
+        """index_of(w), after refusing a length other than n_spins."""
+        w = as_spins(w)
+        if w.size != self.n_spins:
+            raise DimensionError(f"spin vector length {w.size} != N={self.n_spins}")
+        return self.index_of(w)
+
     def energy(self, w) -> float:
-        return float(self.table[self.index_of(w)])
+        return float(self.table[self._index(w)])
 
     def make_state(self, w) -> "TabulatedState":
         return TabulatedState(self, w)
@@ -445,7 +450,7 @@ class TabulatedState:
     def __init__(self, model: TabulatedEnergy, w):
         self.model = model
         self.w = as_spins(w).copy()
-        self._idx = model.index_of(self.w)
+        self._idx = model._index(self.w)
         self.energy = float(model.table[self._idx])
 
     def flip_delta(self, i: int) -> float:

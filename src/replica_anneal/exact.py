@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annealer import log_cosh_stable
+from .energies import DimensionError
 
 MAX_NY_TABLES = 16
 MAX_NY_KERNEL = 12
@@ -54,8 +55,10 @@ def enumerate_configs(n: int) -> np.ndarray:
 
 
 def energy_table_of(model, n: int) -> np.ndarray:
-    """Evaluate a model's energy on every configuration of {-1,+1}^N."""
-    if hasattr(model, "table") and getattr(model, "n_spins", None) == n:
+    """Evaluate a model's energy on every configuration of {-1,+1}^N, N = model.n_spins."""
+    if n != model.n_spins:
+        raise DimensionError(f"N={n} but the model has {model.n_spins} spins")
+    if hasattr(model, "table"):
         return np.asarray(model.table, dtype=np.float64)
     configs = enumerate_configs(n)
     return np.array([model.energy(row) for row in configs], dtype=np.float64)
@@ -98,11 +101,6 @@ def _normalize_log(logw: np.ndarray) -> np.ndarray:
 def _field_term(fields: np.ndarray, gamma: float, y: int) -> np.ndarray:
     """sum_i log cosh(gamma f_i) on every row of a fields table."""
     return _log_cosh_table(gamma, y)[fields + y].sum(axis=1)
-
-
-def folded_log_weights(energy: np.ndarray, n: int, y: int, beta: float, gamma: float) -> np.ndarray:
-    """log of the unnormalized qbar weight: -beta sum_a E + sum_i log cosh(gamma f_i)."""
-    return -beta * total_energy_table(energy, n, y) + _field_term(fields_table(n, y), gamma, y)
 
 
 def _center_scores(gamma_fields: np.ndarray, n: int) -> np.ndarray:
@@ -380,13 +378,15 @@ def compute_elevation_m(model, n: int, y: int) -> float:
     at which their components merge.
     """
     _check_size(n, y, MAX_NY_KERNEL)
-    energy = energy_table_of(model, n)
-    weight = total_energy_table(energy, n, y)
+    return _elevation(total_energy_table(energy_table_of(model, n), n, y), n * y)
+
+
+def _elevation(weight: np.ndarray, nbits: int) -> float:
+    """compute_elevation_m on the total-energy table of the 2^nbits ensembles."""
     size = weight.size
     uf = _UnionFind(size)
     active = np.zeros(size, dtype=bool)
     order = np.argsort(weight, kind="stable")
-    nbits = n * y
     m_best = 0.0
     for v in order:
         v = int(v)
@@ -463,15 +463,15 @@ def compute_constants(model, n: int, y: int, gamma: float,
     """Per-instance constants: energy gap B, interaction gap B', elevation m,
     a fitted kappa1, and the spectral-gap bracket [c, C] over BETA_GRID.
 
-    The gaps are spectral_gaps', computed on the tables this function builds.
+    m and the gaps are compute_elevation_m's and spectral_gaps', on this function's tables.
     """
+    _check_size(n, y, MAX_NY_KERNEL)
     energy = energy_table_of(model, n)
     nonzero = energy[energy > 1e-12]
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
-    # compute_elevation_m checks N*y <= MAX_NY_KERNEL
-    m = compute_elevation_m(model, n, y)
     tot_e = total_energy_table(energy, n, y)
+    m = _elevation(tot_e, n * y)
     n0, tilde = _n0_sets(tot_e, n, y)
     qbars, psis = _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, BETA_GRID, kernel)
 
@@ -491,7 +491,6 @@ def compute_constants(model, n: int, y: int, gamma: float,
 @dataclass
 class ScheduleVerdict:
     passed: bool
-    criterion_trace: np.ndarray
     weight_sum_grows: bool
     final_value: float
     trailing_slope: float
@@ -535,9 +534,8 @@ def validate_schedule(stages, m: float, kappa1: float) -> ScheduleVerdict:
     slope = float(np.polyfit(np.arange(q), tail, 1)[0])
     passed = bool(trace[-1] < -SCHEDULE_THRESHOLD and slope < 0)
     grows = bool(weight_sum[-1] > weight_sum[max(0, 3 * betas.size // 4) - 1])
-    return ScheduleVerdict(passed=passed, criterion_trace=trace,
-                           weight_sum_grows=grows, final_value=float(trace[-1]),
-                           trailing_slope=slope)
+    return ScheduleVerdict(passed=passed, weight_sum_grows=grows,
+                           final_value=float(trace[-1]), trailing_slope=slope)
 
 
 def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
@@ -585,8 +583,8 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
     """qbar mass at beta = BETA_LARGE of the event that every replica lies in
     the Hamming ball of the given radius around the center configuration."""
     _check_size(n, y, MAX_NY_TABLES)
-    energy = energy_table_of(model, n)
-    qbar = _normalize_log(folded_log_weights(energy, n, y, BETA_LARGE, gamma))
+    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    qbar = _normalize_log(-BETA_LARGE * tot_e + _field_term(fields_table(n, y), gamma, y))
     in_ball = hamming_table(n, center_index) <= radius
     states = replica_states(n, y)
     event = np.all(in_ball[states], axis=1)

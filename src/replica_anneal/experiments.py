@@ -180,9 +180,12 @@ class RobustnessPoint:
 def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 1000,
                     seed: int | list[int] = 0) -> list[RobustnessPoint]:
     """Accuracy after flipping exactly round(p*N) distinct random coordinates,
-    averaged over repetitions with a normal-approximation 95% CI."""
+    averaged over repetitions with a normal-approximation 95% CI. Each p must
+    lie in [0, 1]."""
     if repetitions < 1:
         raise ValueError(f"a robustness curve needs at least one repetition, got {repetitions}")
+    if not all(0.0 <= p <= 1.0 for p in p_values):
+        raise ValueError(f"each p must lie in [0, 1], got {list(p_values)}")
     n = weights.size
     curve = []
     for p_idx, p in enumerate(p_values):

@@ -177,7 +177,7 @@ def test_criterion_10_reduction_to_classical_sa():
     for seed in seeds:
         chain = Chain(model, 1, schedule, kernel="combined", seed=seed)
         lib_traj = []
-        while chain.iteration < it_max:
+        while chain.stats.iterations < it_max:
             chain.step()
             lib_traj.append(sum(s.energy for s in chain.states))
         ref_w, ref_traj, ref_accepted = classical_sa(

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -204,15 +206,80 @@ def test_validate_schedule_refuses_a_non_positive_horizon(horizon, capsys):
     (["robustness", "--repetitions", "0"], "--repetitions"),
 ])
 def test_counts_are_refused_before_any_run(argv, flag, monkeypatch, capsys):
+    _refuse_runs(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"{flag}: must be a positive integer" in capsys.readouterr().err
+
+
+def _refuse_runs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the arguments were checked")
 
     for name in ("train_run", "sweep_beta", "sweep_gamma", "robustness_eval"):
         monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robustness", "--p", "1.5"], "--p: must be a probability in [0, 1], got 1.5"),
+    (["robustness", "--p", "0.1", "-0.2"], "--p: must be a probability in [0, 1], got -0.2"),
+    (["robustness", "--p", "nan"], "--p: must be a probability in [0, 1], got nan"),
+    (["robustness", "--p", "inf"], "--p: must be a probability in [0, 1], got inf"),
+    (["train", "--seed", "-1"], "--seed: invalid"),
+    (["robustness", "--seed", "1/-2/0"], "--seed: invalid"),
+    (["sweep-gamma", "--gamma", "0.5", "--seed", "-3"], "--seed: invalid"),
+], ids=["p-above", "p-negative", "p-nan", "p-inf", "seed", "seed-entry", "seed-sweep"])
+def test_values_out_of_range_are_refused_before_any_run(argv, message, monkeypatch, capsys):
+    _refuse_runs(monkeypatch)
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert f"{flag}: must be a positive integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _text_file(path, text):
+    path.write_text(text)
+    return path
+
+
+# ExperimentConfig.save, which _write_config calls, checks nothing
+@pytest.mark.parametrize("argv, make, reason", [
+    (["train"], lambda tmp: tmp / "missing.json", "No such file or directory"),
+    (["train"], lambda tmp: _text_file(tmp / "bad.json", "{"), "Expecting property name"),
+    (["train"], lambda tmp: _text_file(tmp / "old.json", '{"output": "r.csv"}'),
+     "unknown config fields: ['output']"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_i": 10.0, "beta_f": 1.0, "it_max": 100}),
+     "need beta_f >= beta_i > 0"),
+    (["train"], lambda tmp: _write_config(tmp, replicas=0), "replicas must be an integer >= 1"),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"], lambda tmp: _write_config(tmp, replicas=0),
+     "replicas must be an integer >= 1"),
+    (["robustness"], lambda tmp: _write_config(tmp, kernel="bogus"), "kernel must be one of"),
+    (["train"], lambda tmp: _write_config(tmp, schema_version=7), "schema_version 7 is not 1"),
+    (["train"], lambda tmp: _write_config(tmp, seed=-1), "a seed is a non-negative integer"),
+], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
+        "kernel", "schema-version", "seed"])
+def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
+                                                  capsys):
+    _refuse_runs(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, "--config", str(make(tmp_path))])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"replica-anneal {argv[0]}: ")
+    assert reason in out.err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert commands
+    for words in commands:
+        assert words[0] == "replica-anneal"
+        cli.build_parser().parse_args(words[1:])
 
 
 def test_validate_schedule_requires_input():

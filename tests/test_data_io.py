@@ -184,6 +184,22 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"not_a_field": 1})
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("output", "results.csv", "unknown config fields"),
+    ("schema_version", 7, "schema_version"),
+    ("replicas", 0, "replicas"),
+    ("replicas", 2.0, "replicas"),
+    ("kernel", "bogus", "kernel"),
+    ("seed", -1, "seed"),
+    ("seed", [1, -2, 0], "seed"),
+])
+def test_config_refuses_a_field_the_run_cannot_use(field, value, reason):
+    doc = ExperimentConfig().to_dict()
+    with pytest.raises(ValueError, match=reason):
+        ExperimentConfig.from_dict({**doc, field: value})
+    assert ExperimentConfig.from_dict({**doc, "seed": [0, 1, 1]}).seed == [0, 1, 1]
+
+
 def _record(run_id="r0", test=None):
     return ResultRecord(run_id=run_id, config_hash="abc", seed=1, gamma=0.5,
                         beta_i=0.1, beta_f=1000.0, replicas=2, train_loss=1.25,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replica_anneal import energies
+from replica_anneal import energies, fixtures
 from replica_anneal.energies import (
     ClassifierDataset,
     CrossEntropyEnergy,
@@ -453,6 +453,15 @@ def test_tabulated_energy_index_round_trip():
         cfg = config_of(idx, 2)
         assert TabulatedEnergy.index_of(cfg) == idx
         assert model.energy(cfg) == float(idx)
+
+
+@pytest.mark.parametrize("w", [[1, 1], [1, -1, 1, 1]], ids=["short", "long"])
+def test_tabulated_model_refuses_a_wrong_length(w, rng):
+    model = fixtures.random_integer_energies(3, rng)
+    with pytest.raises(DimensionError, match="length"):
+        model.energy(w)
+    with pytest.raises(DimensionError, match="length"):
+        model.make_state(w)
 
 
 def test_tabulated_state_tracks_flips(rng):

@@ -10,7 +10,12 @@ import pytest
 
 from replica_anneal import exact, fixtures, verify
 from replica_anneal.annealer import accept_combined, accept_two_stage, interaction_delta, make_rng
-from replica_anneal.energies import PerceptronEnergy, TabulatedEnergy, generate_synthetic
+from replica_anneal.energies import (
+    DimensionError,
+    PerceptronEnergy,
+    TabulatedEnergy,
+    generate_synthetic,
+)
 from replica_anneal.spins import ReplicaEnsemble
 
 from conftest import config_of
@@ -506,6 +511,15 @@ def test_compute_constants_builds_no_kernel():
     assert _traced_peak(exact.compute_constants, model, n, y, 0.5) < 2 ** (2 * n * y) * 8
 
 
+def test_tables_refuse_another_spin_count(rng):
+    model = fixtures.random_integer_energies(3, rng)
+    for n in (2, 4):
+        with pytest.raises(DimensionError, match="3 spins"):
+            exact.energy_table_of(model, n)
+        with pytest.raises(DimensionError, match="3 spins"):
+            exact.compute_elevation_m(model, n, 1)
+
+
 def test_elevation_flat_landscape_is_zero():
     model = TabulatedEnergy(np.zeros(8), n=3)
     assert exact.compute_elevation_m(model, 3, 1) == 0.0
@@ -633,8 +647,8 @@ def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
     assert built == {"total_energy_table": 1, "fields_table": 1}
     built.update(total_energy_table=0, fields_table=0)
     exact.compute_constants(cluster4, 4, 2, gamma=0.5)
-    # besides its own: compute_elevation_m's table; every kernel build shares both
-    assert built == {"total_energy_table": 2, "fields_table": 1}
+    # the elevation search and every kernel build share both
+    assert built == {"total_energy_table": 1, "fields_table": 1}
 
 
 def test_hamming_table():

@@ -177,6 +177,16 @@ def test_robustness_needs_a_repetition():
         robustness_eval(np.ones(20, dtype=np.int8), model, [0.1], repetitions=0)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.2, float("nan")])
+def test_robustness_refuses_p_outside_the_unit_interval(p):
+    class NeverEvaluated:
+        def accuracy(self, w):
+            raise AssertionError("evaluated before p was checked")
+
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        robustness_eval(np.ones(20, dtype=np.int8), NeverEvaluated(), [0.0, p], repetitions=5)
+
+
 def test_sweep_gamma_order_independent():
     cfg = _small_config()
     full = sweep_gamma(cfg, [0.0, 0.5], repetitions=2)
