@@ -12,7 +12,8 @@ from pathlib import Path
 from . import exact, verify
 from .annealer import KERNELS
 from .data_io import ExperimentConfig, _parse_seed, write_results
-from .experiments import build_schedule, robustness_eval, sweep_beta, sweep_gamma, train_run
+from .experiments import (build_schedule, check_specs, robustness_eval, sweep_beta,
+                          sweep_gamma, train_run)
 
 DESK_SCALE_CAP = 100_000
 
@@ -26,6 +27,7 @@ def _load_config(args) -> ExperimentConfig:
             config.seed = args.seed
         if args.kernel:
             config.kernel = args.kernel
+        check_specs(config)
         it_max = build_schedule(config.schedule).it_max
     except (ValueError, OSError) as err:
         print(f"replica-anneal {args.command}: {err}", file=sys.stderr)

@@ -188,9 +188,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """The config of a document; a ValueError refuses an unknown field, another
-        schema_version, replicas other than an integer >= 1, an unknown kernel
-        and a seed that _check_seed refuses."""
+        """The config of a document; a ValueError refuses a document that is not
+        an object, an unknown field, another schema_version, replicas other than
+        an integer >= 1, an unknown kernel and a seed that _check_seed refuses."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:

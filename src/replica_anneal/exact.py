@@ -76,15 +76,38 @@ def total_energy_table(energy: np.ndarray, n: int, y: int) -> np.ndarray:
     return energy[states].sum(axis=1)
 
 
-def fields_table(n: int, y: int) -> np.ndarray:
-    """(2^{Ny}, N) int64 matrix of replica field sums sum_a sigma_i^a.
+def _over_replicas(ufunc, table: np.ndarray, y: int) -> np.ndarray:
+    """ufunc of a per-configuration table over the y replicas of every ensemble:
+    row s combines the rows of the configurations s >> (a*N), a = 0 .. y-1.
 
     Replica a's configuration is digit a of the ensemble index in base 2^N,
     so on the index split into y digits, most significant first, replica a's
-    spins vary along axis y-1-a: a broadcast sum of y reshaped config tables.
+    rows vary along axis y-1-a: a broadcast of y reshaped copies of the table.
     """
-    configs = enumerate_configs(n).astype(np.int64)
-    return sum(configs.reshape((-1,) + (1,) * a + (n,)) for a in range(y)).reshape(-1, n)
+    out = table
+    for a in range(1, y):
+        out = ufunc(out, table.reshape((-1,) + (1,) * a + table.shape[1:]))
+    return out.reshape((-1,) + table.shape[1:])
+
+
+def fields_table(n: int, y: int) -> np.ndarray:
+    """(2^{Ny}, N) int64 matrix of replica field sums sum_a sigma_i^a."""
+    return _over_replicas(np.add, enumerate_configs(n).astype(np.int64), y)
+
+
+def _field_classes(n: int, y: int):
+    """(cls, class_fields): each ensemble's field class and the fields of each class.
+
+    An ensemble's fields are 2c - y, c_i being the number of its replicas
+    with spin +1 at coordinate i, and its class is sum_i c_i (y+1)^i, so the
+    (y+1)^N classes hold every fields vector once: class_fields[cls] is
+    fields_table(n, y). A quantity that depends on an ensemble only through
+    its fields is computed once per class and gathered with cls.
+    """
+    up = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    cls = _over_replicas(np.add, up @ (y + 1) ** np.arange(n, dtype=np.int64), y)
+    counts = np.arange((y + 1) ** n, dtype=np.int64)[:, None] // (y + 1) ** np.arange(n) % (y + 1)
+    return cls, 2 * counts - y
 
 
 def _log_cosh_table(gamma: float, y: int) -> np.ndarray:
@@ -127,32 +150,32 @@ def _center_scores(gamma_fields: np.ndarray, n: int) -> np.ndarray:
 def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     """qbar two ways: direct sum over Sigma^{y+1} and the folded log-cosh form.
 
-    Returns (qbar_direct, qbar_folded, Z) with Z the direct double sum. The
-    direct route scores about BLOCK (ensemble, center) pairs at a time.
+    Returns (qbar_direct, qbar_folded, Z) with Z the direct double sum. Both
+    field terms are computed once per field class; the direct route scores
+    about BLOCK (class, center) pairs at a time.
     """
     _check_size(n, y, MAX_NY_TABLES)
     if n > 10:
         raise SizeLimitError("direct route limited to N <= 10")
-    energy = energy_table_of(model, n)
-    fields = fields_table(n, y)
-    tot_e = total_energy_table(energy, n, y)
+    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    cls, class_fields = _field_classes(n, y)
 
-    # direct: sum over the center sigma of exp(gamma <sigma, fields>)
-    logw_direct = np.empty(2 ** (n * y))
+    # direct: log of the sum over the center sigma of exp(gamma <sigma, fields>)
+    logw = np.empty(class_fields.shape[0])
     chunk = max(1, BLOCK >> n)
-    for lo in range(0, logw_direct.size, chunk):
-        hi = min(lo + chunk, logw_direct.size)
-        scores = _center_scores(gamma * fields[lo:hi].astype(np.float64), n)
+    for lo in range(0, logw.size, chunk):
+        hi = min(lo + chunk, logw.size)
+        scores = _center_scores(gamma * class_fields[lo:hi].astype(np.float64), n)
         m = scores.max(axis=1)
         scores -= m[:, None]
         np.exp(scores, out=scores)
-        logw_direct[lo:hi] = m + np.log(scores.sum(axis=1))
-    logw_direct -= beta * tot_e
+        logw[lo:hi] = m + np.log(scores.sum(axis=1))
+    logw_direct = logw[cls] - beta * tot_e
     m = logw_direct.max()
     log_z = m + math.log(np.exp(logw_direct - m).sum())
 
     qbar_direct = _normalize_log(logw_direct)
-    qbar_folded = _normalize_log(-beta * tot_e + _field_term(fields, gamma, y))
+    qbar_folded = _normalize_log(-beta * tot_e + _field_term(class_fields, gamma, y)[cls])
     return qbar_direct, qbar_folded, float(np.exp(log_z))
 
 
@@ -544,10 +567,10 @@ def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     aligned zero-energy set)."""
     _check_size(n, y, MAX_NY_TABLES)
     tot_e = total_energy_table(energy_table_of(model, n), n, y)
-    fields = fields_table(n, y)
+    cls, class_fields = _field_classes(n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
     # qbar's folded log weights and mu_0 on the one pair of tables
-    field_term = _field_term(fields, gamma, y)
+    field_term = _field_term(class_fields, gamma, y)[cls]
     qbar = _normalize_log(-BETA_LARGE * tot_e + field_term)
     mass_outside = float(1.0 - qbar[n0].sum())
     mu = _normalize_log(field_term)
@@ -555,7 +578,7 @@ def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     mu_cond = mu[n0] / mu[n0].sum()
     linf_vs_mu0 = float(np.abs(cond - mu_cond).max())
 
-    qbar_gg = _normalize_log(-BETA_LARGE * tot_e + _field_term(fields, GAMMA_LARGE, y))
+    qbar_gg = _normalize_log(-BETA_LARGE * tot_e + _field_term(class_fields, GAMMA_LARGE, y)[cls])
     uniform = np.full(tilde.size, 1.0 / tilde.size) if tilde.size else np.array([])
     cond_gg = qbar_gg[tilde] / qbar_gg[tilde].sum() if tilde.size else np.array([])
     linf_vs_uniform = float(np.abs(cond_gg - uniform).max()) if tilde.size else math.nan
@@ -584,8 +607,7 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
     the Hamming ball of the given radius around the center configuration."""
     _check_size(n, y, MAX_NY_TABLES)
     tot_e = total_energy_table(energy_table_of(model, n), n, y)
-    qbar = _normalize_log(-BETA_LARGE * tot_e + _field_term(fields_table(n, y), gamma, y))
-    in_ball = hamming_table(n, center_index) <= radius
-    states = replica_states(n, y)
-    event = np.all(in_ball[states], axis=1)
+    cls, class_fields = _field_classes(n, y)
+    qbar = _normalize_log(-BETA_LARGE * tot_e + _field_term(class_fields, gamma, y)[cls])
+    event = _over_replicas(np.logical_and, hamming_table(n, center_index) <= radius, y)
     return float(qbar[event].sum())

@@ -24,7 +24,6 @@ from .data_io import (
 from .energies import (
     ClassifierDataset,
     CrossEntropyEnergy,
-    PatternSet,
     PerceptronEnergy,
     generate_synthetic,
 )
@@ -41,23 +40,59 @@ SPEC_KEYS = {
     ("schedule", "exponential"): ("mode", "beta_i", "beta_f", "gamma", "gamma_f", "it_max"),
     ("schedule", "piecewise"): ("mode", "stages"),
 }
+# the keys a spec of that kind or mode must give, having no default
+SPEC_REQUIRED = {
+    ("schedule", "exponential"): ("beta_i", "beta_f", "it_max"),
+    ("schedule", "piecewise"): ("stages",),
+}
+# the dataset kind each model kind reads: patterns, or labelled images
+MODEL_DATASET = {"perceptron": "synthetic", "cross-entropy": "mnist"}
 
 
 def _spec_kind(spec: dict, section: str, key: str, default: str) -> str:
-    """The spec's kind (or mode), after refusing an unknown one and every key
-    that kind does not read."""
+    """The spec's kind (or mode), after refusing a spec that is not an object,
+    an unknown kind, every key that kind does not read and a missing key it
+    needs."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {section} spec must be an object, got {spec!r}")
     kind = spec.get(key, default)
     if (section, kind) not in SPEC_KEYS:
         raise ValueError(f"unknown {section} {key} {kind!r}")
     unknown = sorted(set(spec) - set(SPEC_KEYS[section, kind]))
     if unknown:
         raise ValueError(f"{section} {key} {kind!r} does not read the keys {unknown}")
+    missing = [name for name in SPEC_REQUIRED.get((section, kind), ()) if name not in spec]
+    if missing:
+        raise ValueError(f"{section} {key} {kind!r} needs the keys {missing}")
     return kind
+
+
+def _dataset_kind(spec: dict) -> str:
+    """The dataset spec's kind, after _spec_kind's checks and refusing a
+    synthetic count or dim that is not an integer >= 1."""
+    kind = _spec_kind(spec, "dataset", "kind", "synthetic")
+    if kind == "synthetic":
+        for name in ("count", "dim"):
+            if name in spec and not (type(spec[name]) is int and spec[name] >= 1):
+                raise ValueError(f"dataset {name} must be an integer >= 1, got {spec[name]!r}")
+    return kind
+
+
+def check_specs(config: ExperimentConfig) -> str:
+    """The config's model kind. Before any data is built, a ValueError refuses
+    a dataset or model spec that _dataset_kind or _spec_kind refuses, and a
+    model kind that does not read the dataset's kind."""
+    dataset = _dataset_kind(config.dataset)
+    model = _spec_kind(config.model, "model", "kind", "perceptron")
+    if MODEL_DATASET[model] != dataset:
+        raise ValueError(f"a {model} model needs a {MODEL_DATASET[model]} dataset, "
+                         f"not {dataset}")
+    return model
 
 
 def build_dataset(spec: dict):
     """Returns (train, test_or_None) for a config dataset spec."""
-    if _spec_kind(spec, "dataset", "kind", "synthetic") == "synthetic":
+    if _dataset_kind(spec) == "synthetic":
         patterns = generate_synthetic(count=spec.get("count", 30),
                                       dim=spec.get("dim", 100),
                                       seed=spec.get("seed", 0))
@@ -84,11 +119,13 @@ def build_model(config: ExperimentConfig):
     The key is the canonical JSON of the two specs, as in ExperimentConfig.hash,
     and for an mnist dataset the resolved path, size, mtime and inode of each
     IDX file, so rewriting a file builds the model again; a missing file raises
-    load_mnist's error. The cache holds one entry. The datasets' arrays are
-    read-only, since later runs share them.
+    load_mnist's error, and specs that check_specs refuses raise its ValueError
+    before any file is read. The cache holds one entry. The datasets' arrays
+    are read-only, since later runs share them.
     """
+    kind = check_specs(config)
     specs = json.dumps([config.dataset, config.model], sort_keys=True, separators=(",", ":"))
-    return _cached_model(specs, _idx_files(config.dataset))
+    return _cached_model(specs, kind, _idx_files(config.dataset))
 
 
 def _idx_files(spec: dict) -> tuple:
@@ -101,22 +138,18 @@ def _idx_files(spec: dict) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _cached_model(specs: str, idx_files: tuple):
-    """build_model's result for the JSON [dataset, model] specs. idx_files is
-    only part of the key; a build that raises is not cached."""
-    dataset_spec, model_spec = json.loads(specs)
-    kind = _spec_kind(model_spec, "model", "kind", "perceptron")
+def _cached_model(specs: str, kind: str, idx_files: tuple):
+    """build_model's result for the JSON [dataset, model] specs, whose model
+    kind is kind. kind and idx_files are only part of the key; a build that
+    raises is not cached."""
+    dataset_spec, _ = json.loads(specs)
     data, test = build_dataset(dataset_spec)
     for dataset in (data, test) if test is not None else (data,):
         for value in vars(dataset).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
     if kind == "perceptron":
-        if not isinstance(data, PatternSet):
-            raise ValueError("perceptron model needs a pattern dataset")
         return PerceptronEnergy(data), None
-    if not isinstance(data, ClassifierDataset):
-        raise ValueError("cross-entropy model needs a classifier dataset")
     return CrossEntropyEnergy(data), test
 
 

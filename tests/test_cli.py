@@ -258,8 +258,32 @@ def _text_file(path, text):
     (["robustness"], lambda tmp: _write_config(tmp, kernel="bogus"), "kernel must be one of"),
     (["train"], lambda tmp: _write_config(tmp, schema_version=7), "schema_version 7 is not 1"),
     (["train"], lambda tmp: _write_config(tmp, seed=-1), "a seed is a non-negative integer"),
+    (["sweep-gamma", "--gamma", "0.5", "--repetitions", "2", "--jobs", "2"],
+     lambda tmp: _write_config(tmp, model={"kind": "bogus"}), "unknown model kind 'bogus'"),
+    (["sweep-gamma", "--gamma", "0.5", "--repetitions", "2", "--jobs", "2"],
+     lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "count": 0}),
+     "dataset count must be an integer >= 1, got 0"),
+    (["train"], lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "dim": 2.5}),
+     "dataset dim must be an integer >= 1, got 2.5"),
+    (["robustness"], lambda tmp: _write_config(tmp, dataset={"kind": "cifar"}),
+     "unknown dataset kind 'cifar'"),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
+     lambda tmp: _write_config(tmp, model={"kind": "cross-entropy"}),
+     "a cross-entropy model needs a mnist dataset, not synthetic"),
+    (["train"], lambda tmp: _write_config(tmp, model="perceptron"),
+     "the model spec must be an object"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_f": 100.0, "it_max": 100}),
+     "schedule mode 'exponential' needs the keys ['beta_i']"),
+    (["train"], lambda tmp: _text_file(tmp / "null.json", "null"),
+     "a config must be a JSON object, got NoneType"),
+    (["train"], lambda tmp: _text_file(tmp / "list.json", '["seed"]'),
+     "a config must be a JSON object, got list"),
+    (["train"], lambda tmp: _text_file(tmp / "number.json", "3"),
+     "a config must be a JSON object, got int"),
 ], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
-        "kernel", "schema-version", "seed"])
+        "kernel", "schema-version", "seed", "model-kind", "dataset-count", "dataset-dim",
+        "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number"])
 def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
                                                   capsys):
     _refuse_runs(monkeypatch)

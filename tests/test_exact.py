@@ -159,9 +159,11 @@ def test_stationary_and_gap_rejects_nan():
 
 @pytest.mark.parametrize("block", [1, 3, 200, 1 << 40])
 def test_results_do_not_depend_on_the_block_size(block, monkeypatch):
-    """S = 64: block 1 and 3 score one ensemble and compare one entry pair at
-    a time, 200 scores 25 or 50 ensembles and compares 7 x 7 tiles at a time,
-    neither of which divides S, and 1 << 40 does each in one block."""
+    """S = 64 ensembles in 27 (N=3, y=2) or 16 (N=2, y=3) field classes:
+    block 1 and 3 score one class and compare one entry pair at a time; 200
+    scores 25 classes (all 16 at N=2) and compares 7 x 7 tiles at a time,
+    and 25 does not divide 27 nor 7 divide 64; 1 << 40 does each in one
+    block."""
     def outputs():
         out = []
         for n, y in [(3, 2), (2, 3)]:
@@ -199,10 +201,70 @@ def _traced_peak(fn, *args):
 
 def test_enumerate_qbar_scores_in_bounded_memory():
     """N=8, y=2 has 2^24 (ensemble, center) scores, 128 MB of doubles; the
-    direct route holds about BLOCK of them, so the peak is the (S, N)
-    tables, about 15 MB."""
+    direct route scores the 3^8 field classes, about BLOCK (class, center)
+    pairs at a time, and builds no (S, N) table, so the peak is about 4.3 MB."""
     model = fixtures.random_integer_energies(8, make_rng(0))
-    assert _traced_peak(exact.enumerate_qbar, model, 8, 2, 1.0, 0.5) < 32 * 2**20
+    assert _traced_peak(exact.enumerate_qbar, model, 8, 2, 1.0, 0.5) < 8 * 2**20
+
+
+def _reference_qbar(model, n, y, beta, gamma):
+    """enumerate_qbar with every field term computed once per ensemble."""
+    tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
+    fields = exact.fields_table(n, y)
+    scores = exact._center_scores(gamma * fields.astype(np.float64), n)
+    m = scores.max(axis=1)
+    logw = m + np.log(np.exp(scores - m[:, None]).sum(axis=1)) - beta * tot_e
+    top = logw.max()
+    log_z = top + math.log(np.exp(logw - top).sum())
+    folded = exact._normalize_log(-beta * tot_e + exact._field_term(fields, gamma, y))
+    return exact._normalize_log(logw), folded, float(np.exp(log_z))
+
+
+def _reference_dense_mass(model, n, y, gamma, center_index, radius):
+    """dense_region_mass on per-ensemble fields and replica states."""
+    tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
+    field_term = exact._field_term(exact.fields_table(n, y), gamma, y)
+    qbar = exact._normalize_log(-exact.BETA_LARGE * tot_e + field_term)
+    in_ball = exact.hamming_table(n, center_index) <= radius
+    return float(qbar[np.all(in_ball[exact.replica_states(n, y)], axis=1)].sum())
+
+
+@pytest.mark.parametrize("n, y", [(3, 1), (1, 5), (2, 3), (3, 2), (4, 3), (2, 8)])
+def test_field_classes_gather_to_the_fields_table(n, y):
+    cls, class_fields = exact._field_classes(n, y)
+    assert class_fields.shape == ((y + 1) ** n, n)
+    assert np.array_equal(class_fields[cls], exact.fields_table(n, y))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n, y", [(3, 1), (4, 2), (3, 3), (2, 4), (2, 8)])
+def test_class_route_equals_the_per_ensemble_route(n, y, gamma):
+    """Each field term is a row-by-row function of the fields, so computing it
+    once per class gives every ensemble the same double as the per-ensemble
+    route; the energies are not integers, so no rounding is hidden."""
+    table = make_rng(n * 10 + y).normal(size=2**n) ** 2
+    model = TabulatedEnergy(table - table.min(), n=n)
+    for got, want in zip(exact.enumerate_qbar(model, n, y, 1.3, gamma),
+                         _reference_qbar(model, n, y, 1.3, gamma), strict=True):
+        assert np.array_equal(got, want)
+    for center in (0, 2**n - 1):
+        for radius in range(n + 1):
+            assert (exact.dense_region_mass(model, n, y, gamma, center, radius)
+                    == _reference_dense_mass(model, n, y, gamma, center, radius))
+
+
+def test_enumerate_qbar_scores_each_field_class_once(monkeypatch):
+    """N=8, y=2: 3^8 = 6561 classes score the centers, not 2^16 ensembles."""
+    rows = []
+    center_scores = exact._center_scores
+
+    def counted(gamma_fields, n):
+        rows.append(gamma_fields.shape[0])
+        return center_scores(gamma_fields, n)
+
+    monkeypatch.setattr(exact, "_center_scores", counted)
+    exact.enumerate_qbar(fixtures.random_integer_energies(8, make_rng(0)), 8, 2, 1.0, 0.5)
+    assert sum(rows) == 3**8
 
 
 def test_replica_swap_is_an_involution_fixing_the_aligned_ensembles():
@@ -637,18 +699,19 @@ def test_limit_distribution_gamma0_uniform_on_n0(cluster4):
 
 
 def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
-    built = {"total_energy_table": 0, "fields_table": 0}
+    built = {"total_energy_table": 0, "fields_table": 0, "_field_classes": 0}
     for name in built:
         def counted(*args, _table=getattr(exact, name), _name=name):
             built[_name] += 1
             return _table(*args)
         monkeypatch.setattr(exact, name, counted)
     exact.limit_distribution_check(cluster4, 4, 2, gamma=0.5)
-    assert built == {"total_energy_table": 1, "fields_table": 1}
-    built.update(total_energy_table=0, fields_table=0)
+    # both field terms run on the classes
+    assert built == {"total_energy_table": 1, "fields_table": 0, "_field_classes": 1}
+    built.update(total_energy_table=0, fields_table=0, _field_classes=0)
     exact.compute_constants(cluster4, 4, 2, gamma=0.5)
-    # the elevation search and every kernel build share both
-    assert built == {"total_energy_table": 1, "fields_table": 1}
+    # the elevation search and every kernel build share the per-ensemble tables
+    assert built == {"total_energy_table": 1, "fields_table": 1, "_field_classes": 0}
 
 
 def test_hamming_table():

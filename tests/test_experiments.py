@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ def test_build_dataset_unknown_kind():
 def test_config_specs_refuse_keys_they_do_not_read(build):
     with pytest.raises(ValueError, match="does not read"):
         build()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"model": {"kind": "bogus"}}, "unknown model kind 'bogus'"),
+    ({"dataset": {"kind": "synthetic", "count": 0}}, "dataset count must be an integer >= 1"),
+    ({"dataset": {"kind": "synthetic", "dim": True}}, "dataset dim must be an integer >= 1"),
+    ({"dataset": None}, "the dataset spec must be an object"),
+    ({"model": {"kind": "cross-entropy"}}, "a cross-entropy model needs a mnist dataset"),
+    ({"dataset": {"kind": "mnist", "directory": "absent"}},
+     "a perceptron model needs a synthetic dataset"),
+], ids=["model-kind", "count", "dim", "dataset-null", "model-dataset", "dataset-model"])
+def test_build_model_refuses_specs_before_building(overrides, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built a dataset from a refused spec")
+
+    monkeypatch.setattr(experiments, "build_dataset", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_model(_small_config(**overrides))
+
+
+@pytest.mark.parametrize("spec, missing", [
+    ({"mode": "exponential", "beta_f": 10.0, "it_max": 100}, "['beta_i']"),
+    ({"beta_i": 0.1}, "['beta_f', 'it_max']"),
+    ({"mode": "piecewise"}, "['stages']"),
+])
+def test_build_schedule_names_a_missing_key(spec, missing):
+    with pytest.raises(ValueError, match=re.escape(f"needs the keys {missing}")):
+        build_schedule(spec)
 
 
 def test_piecewise_row_reports_its_stages():
