@@ -60,13 +60,41 @@ KERNELS = ("two-stage", "combined")
 # steps drawn per call of draw_steps in Chain.propose
 DRAW_BLOCK = 4096
 _LOW32 = 0xFFFFFFFF
+# the types a schedule takes as integers, and as real numbers; bool is refused
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
-def _check_values(betas, gammas):
-    if not all(math.isfinite(v) for v in [*betas, *gammas]):
-        raise ValueError("beta and gamma must be finite")
-    if any(g < 0 for g in gammas):
-        raise ValueError("gamma must be nonnegative")
+def _check_values(betas: dict, gammas: dict):
+    """Refuse a beta or gamma, each named by its key, that is not a finite
+    real number (a bool included), and a negative gamma."""
+    for name, value in {**betas, **gammas}.items():
+        if isinstance(value, bool) or not isinstance(value, _REALS) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    for name, value in gammas.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+def _check_count(name: str, value, low: int):
+    """Refuse a value that is not an integer >= low (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _checked_stages(stages) -> list[tuple[float, float, int]]:
+    """The stages as (beta, gamma, length) tuples, after refusing anything but
+    a nonempty list of [beta, gamma, length] triples whose values
+    _check_values and _check_count accept (length >= 1)."""
+    if not isinstance(stages, (list, tuple)) or not stages:
+        raise ValueError(f"stages must be a nonempty list of [beta, gamma, length] triples, "
+                         f"got {stages!r}")
+    for k, stage in enumerate(stages):
+        if not (isinstance(stage, (list, tuple)) and len(stage) == 3):
+            raise ValueError(f"stage {k} must be a [beta, gamma, length] triple, got {stage!r}")
+        _check_values({f"stage {k} beta": stage[0]}, {f"stage {k} gamma": stage[1]})
+        _check_count(f"stage {k} length", stage[2], 1)
+    return [(float(b), float(g), int(t)) for b, g, t in stages]
 
 
 @dataclass
@@ -91,23 +119,18 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.mode not in ("exponential", "piecewise"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.it_max < 0:
-            raise ValueError(f"it_max must be >= 0, got {self.it_max}")
+        _check_count("it_max", self.it_max, 0)
         if self.mode == "exponential":
-            gammas = [self.gamma_i] + ([] if self.gamma_f is None else [self.gamma_f])
-            _check_values([self.beta_i, self.beta_f], gammas)
+            gammas = {"gamma": self.gamma_i} | ({} if self.gamma_f is None
+                                               else {"gamma_f": self.gamma_f})
+            _check_values({"beta_i": self.beta_i, "beta_f": self.beta_f}, gammas)
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
             if self.gamma_f is not None and self.gamma_f != self.gamma_i and self.gamma_i == 0:
                 raise ValueError("interpolating gamma needs gamma_i > 0")
         else:
-            if not self.stages:
-                raise ValueError("piecewise mode needs stages")
-            _check_values([s[0] for s in self.stages], [s[1] for s in self.stages])
-            lengths = [int(s[2]) for s in self.stages]
-            if min(lengths) < 1:
-                raise ValueError("stage lengths must be >= 1")
-            betas = [s[0] for s in self.stages]
+            self.stages = _checked_stages(self.stages)
+            betas, _, lengths = zip(*self.stages)
             if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
                 raise ValueError("stage betas must be nondecreasing")
             if sum(lengths) != self.it_max:
@@ -121,7 +144,7 @@ class AnnealSchedule:
 
     @classmethod
     def piecewise(cls, stages):
-        stages = [(float(b), float(g), int(t)) for b, g, t in stages]
+        stages = _checked_stages(stages)
         return cls(it_max=sum(t for _, _, t in stages), mode="piecewise", stages=stages)
 
     @classmethod

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import exact, verify
 from .annealer import KERNELS
@@ -16,6 +17,12 @@ from .experiments import (build_schedule, check_specs, robustness_eval, sweep_be
                           sweep_gamma, train_run)
 
 DESK_SCALE_CAP = 100_000
+
+
+def _refuse(args, err: Exception) -> NoReturn:
+    """Exit 2 with the reason on stderr."""
+    print(f"replica-anneal {args.command}: {err}", file=sys.stderr)
+    raise SystemExit(2) from err
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -30,8 +37,7 @@ def _load_config(args) -> ExperimentConfig:
         check_specs(config)
         it_max = build_schedule(config.schedule).it_max
     except (ValueError, OSError) as err:
-        print(f"replica-anneal {args.command}: {err}", file=sys.stderr)
-        raise SystemExit(2) from err
+        _refuse(args, err)
     if not args.full_scale and it_max > DESK_SCALE_CAP:
         raise SystemExit(
             f"it_max {it_max} exceeds the desk-scale cap "
@@ -66,14 +72,23 @@ def _emit_sweep(points, args) -> int:
     return 0
 
 
+def _sweep(sweep, args, *grid) -> int:
+    """Run a sweep over the grid; a grid point that the sweep refuses before
+    its first run exits 2, with the reason on stderr."""
+    config = _load_config(args)
+    try:
+        points = sweep(config, *grid, repetitions=args.repetitions, jobs=args.jobs)
+    except ValueError as err:
+        _refuse(args, err)
+    return _emit_sweep(points, args)
+
+
 def cmd_sweep_beta(args) -> int:
-    return _emit_sweep(sweep_beta(_load_config(args), args.beta_i, args.beta_f,
-                                  repetitions=args.repetitions, jobs=args.jobs), args)
+    return _sweep(sweep_beta, args, args.beta_i, args.beta_f)
 
 
 def cmd_sweep_gamma(args) -> int:
-    return _emit_sweep(sweep_gamma(_load_config(args), args.gamma,
-                                   repetitions=args.repetitions, jobs=args.jobs), args)
+    return _sweep(sweep_gamma, args, args.gamma)
 
 
 def cmd_robustness(args) -> int:
@@ -108,12 +123,8 @@ def _read_stages(path: str) -> list:
 
 def cmd_validate_schedule(args) -> int:
     try:
-        if args.azencott:
-            stages = verify.azencott_stages(args.horizon)
-        elif args.stages_file:
-            stages = _read_stages(args.stages_file)
-        else:
-            raise SystemExit("provide --stages-file or --azencott")
+        stages = (verify.azencott_stages(args.horizon) if args.azencott
+                  else _read_stages(args.stages_file))
         verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)
     except ValueError as err:
         # code 1 is a FAIL verdict; a schedule that cannot be judged is a usage error
@@ -187,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact_verify)
 
     p = sub.add_parser("validate-schedule", help="check a cooling schedule")
-    p.add_argument("--stages-file", help="JSON list of [beta_k, T_k]")
-    p.add_argument("--azencott", action="store_true",
-                   help="use the built-in stage generator fixture")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--stages-file", help="JSON list of [beta_k, T_k]")
+    source.add_argument("--azencott", action="store_true",
+                        help="use the built-in stage generator fixture")
     p.add_argument("--horizon", type=_positive_int, default=10_000)
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--kappa1", type=float, default=math.e)

@@ -47,6 +47,13 @@ def _check_size(n: int, y: int, limit: int):
         raise SizeLimitError(f"N*y = {n * y} exceeds limit {limit}")
 
 
+def _instance(model, n: int, y: int, limit: int) -> np.ndarray:
+    """The total energy of each of the model's 2^{Ny} ensembles, after
+    refusing N*y above limit."""
+    _check_size(n, y, limit)
+    return total_energy_table(energy_table_of(model, n), n, y)
+
+
 def enumerate_configs(n: int) -> np.ndarray:
     """(2^n, n) matrix of +-1 spins; row s has bit i of s at coordinate i."""
     idx = np.arange(2**n, dtype=np.int64)
@@ -126,6 +133,13 @@ def _field_term(fields: np.ndarray, gamma: float, y: int) -> np.ndarray:
     return _log_cosh_table(gamma, y)[fields + y].sum(axis=1)
 
 
+def _folded_qbar(tot_e: np.ndarray, cls: np.ndarray, class_fields: np.ndarray,
+                 beta: float, gamma: float, y: int) -> np.ndarray:
+    """qbar proportional to e^{-beta E} prod_i cosh(gamma f_i), its field term
+    computed once per field class (_field_classes); mu_0 at beta = 0."""
+    return _normalize_log(-beta * tot_e + _field_term(class_fields, gamma, y)[cls])
+
+
 def _center_scores(gamma_fields: np.ndarray, n: int) -> np.ndarray:
     """(rows, 2^n) matrix of <gamma f, sigma> over the configurations sigma.
 
@@ -154,10 +168,9 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     field terms are computed once per field class; the direct route scores
     about BLOCK (class, center) pairs at a time.
     """
-    _check_size(n, y, MAX_NY_TABLES)
     if n > 10:
         raise SizeLimitError("direct route limited to N <= 10")
-    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    tot_e = _instance(model, n, y, MAX_NY_TABLES)
     cls, class_fields = _field_classes(n, y)
 
     # direct: log of the sum over the center sigma of exp(gamma <sigma, fields>)
@@ -175,15 +188,14 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     log_z = m + math.log(np.exp(logw_direct - m).sum())
 
     qbar_direct = _normalize_log(logw_direct)
-    qbar_folded = _normalize_log(-beta * tot_e + _field_term(class_fields, gamma, y)[cls])
+    qbar_folded = _folded_qbar(tot_e, cls, class_fields, beta, gamma, y)
     return qbar_direct, qbar_folded, float(np.exp(log_z))
 
 
 def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
                         kernel: str = "combined") -> np.ndarray:
     """Row-stochastic single-flip kernel on the 2^{Ny} ensembles."""
-    _check_size(n, y, MAX_NY_KERNEL)
-    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     nbr, delta_e, delta_h = _flip_tables(tot_e, fields_table(n, y), n, y, gamma)
     moves = _flip_moves(delta_e, delta_h, beta, kernel)
     idx = np.arange(tot_e.size)
@@ -380,18 +392,6 @@ class _FlipGap:
             np.fill_diagonal(self.odd, escape)
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.min_e = [math.inf] * size
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-
 def compute_elevation_m(model, n: int, y: int) -> float:
     """Elevation constant: max over state pairs of the minimal path peak of
     the total replica energy, minus the endpoint energies.
@@ -400,32 +400,36 @@ def compute_elevation_m(model, n: int, y: int) -> float:
     union with active neighbors; two states' path bottleneck is the threshold
     at which their components merge.
     """
-    _check_size(n, y, MAX_NY_KERNEL)
-    return _elevation(total_energy_table(energy_table_of(model, n), n, y), n * y)
+    return _elevation(_instance(model, n, y, MAX_NY_KERNEL), n * y)
 
 
 def _elevation(weight: np.ndarray, nbits: int) -> float:
-    """compute_elevation_m on the total-energy table of the 2^nbits ensembles."""
-    size = weight.size
-    uf = _UnionFind(size)
-    active = np.zeros(size, dtype=bool)
-    order = np.argsort(weight, kind="stable")
+    """compute_elevation_m on the total-energy table of the 2^nbits ensembles;
+    low[r] is the lowest energy of the component rooted at r."""
+    parent, low = list(range(weight.size)), [math.inf] * weight.size
+    active = np.zeros(weight.size, dtype=bool)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     m_best = 0.0
-    for v in order:
+    for v in np.argsort(weight, kind="stable"):
         v = int(v)
-        t = float(weight[v])
-        uf.min_e[v] = t
+        t = low[v] = float(weight[v])
         active[v] = True
         for b in range(nbits):
             u = v ^ (1 << b)
             if not active[u]:
                 continue
-            ru, rv = uf.find(u), uf.find(v)
+            ru, rv = find(u), find(v)
             if ru == rv:
                 continue
-            m_best = max(m_best, t - uf.min_e[ru] - uf.min_e[rv])
-            uf.parent[ru] = rv
-            uf.min_e[rv] = min(uf.min_e[rv], uf.min_e[ru])
+            m_best = max(m_best, t - low[ru] - low[rv])
+            parent[ru] = rv
+            low[rv] = min(low[rv], low[ru])
     return m_best
 
 
@@ -443,12 +447,10 @@ class ConvergenceConstants:
 
 
 def _n0_sets(tot_e: np.ndarray, n: int, y: int, tol: float = 1e-12):
-    """Zero-energy ensembles, and those of them with all replicas equal."""
-    n0 = np.flatnonzero(tot_e <= tol)
-    states = replica_states(n, y)
-    aligned = np.all(states == states[:, :1], axis=1)
-    tilde = np.flatnonzero((tot_e <= tol) & aligned)
-    return n0, tilde
+    """Zero-energy ensembles, and those of them with all replicas equal: the
+    aligned ensemble of configuration c is c * sum_a 2^{aN}, ascending in c."""
+    aligned = np.arange(2**n, dtype=np.int64) * sum(1 << (a * n) for a in range(y))
+    return np.flatnonzero(tot_e <= tol), aligned[tot_e[aligned] <= tol]
 
 
 def _qbars_and_gaps(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, gamma: float,
@@ -476,8 +478,7 @@ def spectral_gaps(model, n: int, y: int, gamma: float, betas,
     costs one eigvalsh of the even replica-exchange block and a Cholesky test
     of the odd one, which is diagonalised only if it may hold psi (_FlipGap).
     """
-    _check_size(n, y, MAX_NY_KERNEL)
-    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     return _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, betas, kernel)[1]
 
 
@@ -561,35 +562,33 @@ def validate_schedule(stages, m: float, kappa1: float) -> ScheduleVerdict:
                            final_value=float(trace[-1]), trailing_slope=slope)
 
 
+def _conditional_linf(law: np.ndarray, ref: np.ndarray) -> float:
+    """max |law - ref| between two weight vectors on the same states, each
+    normalised to sum 1; NaN when there are no states."""
+    if not law.size:
+        return math.nan
+    return float(np.abs(law / law.sum() - ref / ref.sum()).max())
+
+
 def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     """Concentration of qbar at beta = BETA_LARGE (on N0, proportional to
     mu_0) and at beta = BETA_LARGE, gamma = GAMMA_LARGE (uniform on the
-    aligned zero-energy set)."""
-    _check_size(n, y, MAX_NY_TABLES)
-    tot_e = total_energy_table(energy_table_of(model, n), n, y)
+    aligned zero-energy set). With no zero-energy ensemble both sets are
+    empty: the mass outside each is 1.0 and each distance NaN."""
+    tot_e = _instance(model, n, y, MAX_NY_TABLES)
     cls, class_fields = _field_classes(n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
-    # qbar's folded log weights and mu_0 on the one pair of tables
-    field_term = _field_term(class_fields, gamma, y)[cls]
-    qbar = _normalize_log(-BETA_LARGE * tot_e + field_term)
-    mass_outside = float(1.0 - qbar[n0].sum())
-    mu = _normalize_log(field_term)
-    cond = qbar[n0] / qbar[n0].sum()
-    mu_cond = mu[n0] / mu[n0].sum()
-    linf_vs_mu0 = float(np.abs(cond - mu_cond).max())
-
-    qbar_gg = _normalize_log(-BETA_LARGE * tot_e + _field_term(class_fields, GAMMA_LARGE, y)[cls])
-    uniform = np.full(tilde.size, 1.0 / tilde.size) if tilde.size else np.array([])
-    cond_gg = qbar_gg[tilde] / qbar_gg[tilde].sum() if tilde.size else np.array([])
-    linf_vs_uniform = float(np.abs(cond_gg - uniform).max()) if tilde.size else math.nan
+    qbar = _folded_qbar(tot_e, cls, class_fields, BETA_LARGE, gamma, y)
+    mu = _folded_qbar(tot_e, cls, class_fields, 0.0, gamma, y)
+    qbar_gg = _folded_qbar(tot_e, cls, class_fields, BETA_LARGE, GAMMA_LARGE, y)
     return {
         "beta_large": BETA_LARGE,
         "gamma": gamma,
         "gamma_large": GAMMA_LARGE,
-        "mass_outside_N0": mass_outside,
-        "linf_conditional_vs_mu0": linf_vs_mu0,
-        "mass_outside_tildeN0_at_gamma_large": float(1.0 - qbar_gg[tilde].sum()) if tilde.size else math.nan,
-        "linf_vs_uniform_on_tildeN0": linf_vs_uniform,
+        "mass_outside_N0": float(1.0 - qbar[n0].sum()),
+        "linf_conditional_vs_mu0": _conditional_linf(qbar[n0], mu[n0]),
+        "mass_outside_tildeN0_at_gamma_large": float(1.0 - qbar_gg[tilde].sum()),
+        "linf_vs_uniform_on_tildeN0": _conditional_linf(qbar_gg[tilde], np.ones(tilde.size)),
         "N0_size": int(n0.size),
         "tildeN0_size": int(tilde.size),
     }
@@ -605,9 +604,7 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
                       radius: int) -> float:
     """qbar mass at beta = BETA_LARGE of the event that every replica lies in
     the Hamming ball of the given radius around the center configuration."""
-    _check_size(n, y, MAX_NY_TABLES)
-    tot_e = total_energy_table(energy_table_of(model, n), n, y)
-    cls, class_fields = _field_classes(n, y)
-    qbar = _normalize_log(-BETA_LARGE * tot_e + _field_term(class_fields, gamma, y)[cls])
+    tot_e = _instance(model, n, y, MAX_NY_TABLES)
+    qbar = _folded_qbar(tot_e, *_field_classes(n, y), BETA_LARGE, gamma, y)
     event = _over_replicas(np.logical_and, hamming_table(n, center_index) <= radius, y)
     return float(qbar[event].sum())

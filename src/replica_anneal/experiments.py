@@ -16,6 +16,7 @@ from .annealer import AnnealSchedule, Chain, make_rng, spawn_seed
 from .data_io import (
     ExperimentConfig,
     ResultRecord,
+    _check_seed,
     load_mnist,
     make_splits,
     mnist_paths,
@@ -68,9 +69,15 @@ def _spec_kind(spec: dict, section: str, key: str, default: str) -> str:
 
 
 def _dataset_kind(spec: dict) -> str:
-    """The dataset spec's kind, after _spec_kind's checks and refusing a
-    synthetic count or dim that is not an integer >= 1."""
+    """The dataset spec's kind, after _spec_kind's checks and refusing a seed
+    that _check_seed refuses and a synthetic count or dim that is not an
+    integer >= 1."""
     kind = _spec_kind(spec, "dataset", "kind", "synthetic")
+    if "seed" in spec:
+        try:
+            _check_seed(spec["seed"])
+        except ValueError as err:
+            raise ValueError(f"dataset seed: {err}") from None
     if kind == "synthetic":
         for name in ("count", "dim"):
             if name in spec and not (type(spec[name]) is int and spec[name] >= 1):
@@ -154,9 +161,11 @@ def _cached_model(specs: str, kind: str, idx_files: tuple):
 
 
 def build_schedule(spec: dict) -> AnnealSchedule:
+    """The schedule of a config spec; a ValueError refuses a spec that
+    _spec_kind or AnnealSchedule refuses."""
     if _spec_kind(spec, "schedule", "mode", "exponential") == "exponential":
         return AnnealSchedule.exponential(
-            beta_i=spec["beta_i"], beta_f=spec["beta_f"], it_max=int(spec["it_max"]),
+            beta_i=spec["beta_i"], beta_f=spec["beta_f"], it_max=spec["it_max"],
             gamma=spec.get("gamma", 0.0), gamma_f=spec.get("gamma_f"))
     return AnnealSchedule.piecewise(spec["stages"])
 
@@ -276,12 +285,15 @@ def _aggregate(label, records) -> SweepPoint:
 def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
               jobs: int = 1) -> list[SweepPoint]:
     """points: list of {"schedule": overrides}; seeds are derived from
-    (base seed, point index, repetition) so order does not matter."""
+    (base seed, point index, repetition) so order does not matter. Every
+    point's schedule is built before the first run, so a ValueError refuses
+    a point that build_schedule refuses before any run or pool starts."""
     if repetitions < 1 or jobs < 1:
         raise ValueError(f"a sweep needs a repetition and a job, got {repetitions} and {jobs}")
     tasks = []
     for p_idx, overrides in enumerate(points):
         config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})
+        build_schedule(config.schedule)
         for rep in range(repetitions):
             entropy = spawn_seed(base.seed, p_idx, rep).entropy
             tasks.append((config, entropy, f"sweep-{p_idx}-{rep}"))

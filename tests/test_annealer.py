@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,39 @@ def test_schedule_validation_errors():
 def test_schedule_rejects_invalid_values_at_construction(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AnnealSchedule.piecewise(5), "stages must be a nonempty list"),
+    (lambda: AnnealSchedule.piecewise([]), "stages must be a nonempty list"),
+    (lambda: AnnealSchedule.piecewise([(1.0, 0.0, 5), (2.0, 0.0)]),
+     "stage 1 must be a [beta, gamma, length] triple"),
+    (lambda: AnnealSchedule.piecewise([(1.0, 0.0, 5.0)]), "stage 0 length must be an integer"),
+    (lambda: AnnealSchedule.piecewise([("2", "0", "5")]), "stage 0 beta must be a finite real"),
+    (lambda: AnnealSchedule.piecewise([(1.0, False, 5)]), "stage 0 gamma must be a finite real"),
+    (lambda: AnnealSchedule.exponential("a", 1.0, 10), "beta_i must be a finite real"),
+    (lambda: AnnealSchedule.exponential(0.1, True, 10), "beta_f must be a finite real"),
+    (lambda: AnnealSchedule.exponential(0.1, 1.0, 10, gamma=1.0, gamma_f="2"),
+     "gamma_f must be a finite real"),
+    (lambda: AnnealSchedule.exponential(0.1, 1.0, 10.5), "it_max must be an integer >= 0"),
+    (lambda: AnnealSchedule.exponential(0.1, 1.0, True), "it_max must be an integer >= 0"),
+    (lambda: AnnealSchedule(it_max=5, mode="piecewise", stages=[(1.0, -1.0, 5)]),
+     "stage 0 gamma must be nonnegative"),
+], ids=["stages-number", "stages-empty", "stage-pair", "length-float", "strings", "gamma-bool",
+        "beta-string", "beta-bool", "gamma-f-string", "it-max-float",
+        "it-max-bool", "direct-construction"])
+def test_schedule_refuses_values_of_the_wrong_type(build, message):
+    """A value of the wrong type is refused, not converted; the error names it.
+    Integers, numpy scalars included, are real numbers."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_schedule_takes_integers_and_numpy_scalars_as_numbers():
+    sched = AnnealSchedule.exponential(np.float64(0.5), 2, np.int64(4), gamma=np.float32(0.25))
+    assert sched.values(0, 5)[0] == [0.5 * 4.0 ** (t / 4) for t in range(5)]
+    sched = AnnealSchedule.piecewise([(1, 0, np.int64(3)), (np.float64(2.0), 1, 2)])
+    assert sched.stages == [(1.0, 0.0, 3), (2.0, 1.0, 2)] and sched.it_max == 5
 
 
 def test_zero_step_schedule_is_valid(two_state):

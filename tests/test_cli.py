@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from replica_anneal import cli
+from replica_anneal import cli, experiments
 from replica_anneal.data_io import ExperimentConfig, read_results
 
 
@@ -281,9 +282,36 @@ def _text_file(path, text):
      "a config must be a JSON object, got list"),
     (["train"], lambda tmp: _text_file(tmp / "number.json", "3"),
      "a config must be a JSON object, got int"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={"mode": "piecewise", "stages": 5}),
+     "stages must be a nonempty list of [beta, gamma, length] triples, got 5"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "piecewise", "stages": [[1.0, 0.0]]}),
+     "stage 0 must be a [beta, gamma, length] triple, got [1.0, 0.0]"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_i": "a", "beta_f": 1.0, "it_max": 100}),
+     "beta_i must be a finite real number, got 'a'"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_i": 0.1, "beta_f": 1.0, "gamma": True, "it_max": 100}),
+     "gamma must be a finite real number, got True"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_i": 0.1, "beta_f": 1.0, "it_max": 10.5}),
+     "it_max must be an integer >= 0, got 10.5"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "piecewise", "stages": [[1.0, 0.0, 10.5]]}),
+     "stage 0 length must be an integer >= 1, got 10.5"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "piecewise", "stages": [["2", "0", "5"]]}),
+     "stage 0 beta must be a finite real number, got '2'"),
+    (["train"], lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "seed": -1}),
+     "dataset seed: a seed is a non-negative integer or a list of them, got -1"),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
+     lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "seed": 1.5}),
+     "dataset seed: a seed is a non-negative integer or a list of them, got 1.5"),
 ], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
         "kernel", "schema-version", "seed", "model-kind", "dataset-count", "dataset-dim",
-        "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number"])
+        "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number",
+        "stages-not-list", "stage-pair", "beta-string", "gamma-bool", "it-max-float",
+        "stage-length-float", "stage-strings", "dataset-seed-negative", "dataset-seed-float"])
 def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
                                                   capsys):
     _refuse_runs(monkeypatch)
@@ -296,6 +324,60 @@ def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, m
     assert reason in out.err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["sweep-gamma", "--gamma", "0.5", "-1"], "gamma must be nonnegative, got -1.0"),
+    (["sweep-gamma", "--gamma", "nan"], "gamma must be a finite real number, got nan"),
+    (["sweep-beta", "--beta-i", "0", "--beta-f", "1"], "need beta_f >= beta_i > 0"),
+    (["sweep-beta", "--beta-i", "1", "2", "--beta-f", "1", "--jobs", "2"],
+     "need beta_f >= beta_i > 0"),
+], ids=["gamma-negative", "gamma-nan", "beta-zero", "beta-order-jobs"])
+def test_sweep_grid_values_are_refused_before_any_run(argv, reason, tmp_path, monkeypatch,
+                                                      capsys):
+    """Every grid point is checked before the first run and before a pool
+    starts, including the points after a valid one."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the grid was checked")
+
+    monkeypatch.setattr(experiments, "train_run", never)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", never)
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, "--config", str(_write_config(tmp_path))])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"replica-anneal {argv[0]}: {reason}\n"
+
+
+def test_sweep_gamma_over_a_piecewise_config_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                                       capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran a refused grid point")
+
+    monkeypatch.setattr(experiments, "train_run", never)
+    cfg = _write_config(tmp_path, schedule={"mode": "piecewise", "stages": [[1.0, 0.0, 50]]})
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep-gamma", "--gamma", "0.5", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == ("replica-anneal sweep-gamma: schedule mode 'piecewise' "
+                                       "does not read the keys ['gamma']\n")
+
+
+def test_readme_spec_table_matches_spec_keys():
+    """The README's table of config spec keys is experiments.SPEC_KEYS."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n| Spec | Keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        label, cell = (part.strip() for part in row.strip("|").split("|"))
+        keys, _, note = cell.partition("(")
+        words = label.split()
+        # a one-word row names its kinds in the note, as the model row does
+        kinds = re.findall(r"`([^`]+)`", note) if len(words) == 1 else [words[0]]
+        for kind in kinds:
+            documented[words[-1], kind] = tuple(re.findall(r"`([^`]+)`", keys))
+    assert documented == experiments.SPEC_KEYS
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -306,6 +388,16 @@ def test_readme_cli_examples_parse():
         cli.build_parser().parse_args(words[1:])
 
 
-def test_validate_schedule_requires_input():
-    with pytest.raises(SystemExit):
+def test_validate_schedule_requires_input(capsys):
+    with pytest.raises(SystemExit) as err:
         cli.main(["validate-schedule", "--m", "1.0"])
+    assert err.value.code == 2
+    assert "one of the arguments --stages-file --azencott is required" in capsys.readouterr().err
+
+
+def test_validate_schedule_takes_one_stage_source(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate-schedule", "--m", "1.0", "--azencott", "--stages-file", "x.json"])
+    assert err.value.code == 2
+    assert ("argument --stages-file: not allowed with argument --azencott"
+            in capsys.readouterr().err)

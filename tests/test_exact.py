@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from replica_anneal import exact, fixtures, verify
 from replica_anneal.annealer import accept_combined, accept_two_stage, interaction_delta, make_rng
 from replica_anneal.energies import (
     DimensionError,
+    PatternSet,
     PerceptronEnergy,
     TabulatedEnergy,
     generate_synthetic,
@@ -696,6 +698,39 @@ def test_limit_distribution_flat_energy():
 def test_limit_distribution_gamma0_uniform_on_n0(cluster4):
     rep = exact.limit_distribution_check(cluster4, 4, 2, gamma=0.0)
     assert rep["linf_conditional_vs_mu0"] <= 1e-9  # mu0 is uniform at gamma=0
+
+
+@pytest.mark.parametrize("model, n", [
+    (TabulatedEnergy([1.0, 2.0, 1.5, 3.0], n=2), 2),
+    # two opposite labels on one pattern: no weight stores both
+    (PerceptronEnergy(PatternSet([[1, 1, 1], [1, 1, 1]], [1, -1])), 3),
+], ids=["positive-table", "unsatisfiable-perceptron"])
+def test_limit_distribution_without_zero_energy(model, n):
+    """Both sets are empty: all the mass lies outside them and neither
+    conditional law exists, so each distance is NaN, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = exact.limit_distribution_check(model, n, 2, gamma=0.5)
+    assert rep["N0_size"] == rep["tildeN0_size"] == 0
+    assert rep["mass_outside_N0"] == rep["mass_outside_tildeN0_at_gamma_large"] == 1.0
+    assert math.isnan(rep["linf_conditional_vs_mu0"])
+    assert math.isnan(rep["linf_vs_uniform_on_tildeN0"])
+
+
+@pytest.mark.parametrize("n, y", [(3, 1), (2, 2), (3, 3), (2, 4), (1, 8)])
+@pytest.mark.parametrize("zeros", [(), (1,), (0, 2, 3)], ids=["none", "one", "several"])
+def test_n0_sets_match_the_replica_states_reference(n, y, zeros):
+    """The aligned ensembles taken from their indices are those whose replica
+    states are all equal."""
+    energy = np.arange(1.0, 2**n + 1)
+    energy[[c for c in zeros if c < 2**n]] = 0.0
+    tot_e = exact.total_energy_table(energy, n, y)
+    states = exact.replica_states(n, y)
+    aligned = np.all(states == states[:, :1], axis=1)
+    n0, tilde = exact._n0_sets(tot_e, n, y)
+    assert n0.dtype == tilde.dtype == np.int64
+    assert np.array_equal(n0, np.flatnonzero(tot_e <= 1e-12))
+    assert np.array_equal(tilde, np.flatnonzero((tot_e <= 1e-12) & aligned))
 
 
 def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
