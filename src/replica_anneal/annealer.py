@@ -60,41 +60,6 @@ KERNELS = ("two-stage", "combined")
 # steps drawn per call of draw_steps in Chain.propose
 DRAW_BLOCK = 4096
 _LOW32 = 0xFFFFFFFF
-# the types a schedule takes as integers, and as real numbers; bool is refused
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
-
-
-def _check_values(betas: dict, gammas: dict):
-    """Refuse a beta or gamma, each named by its key, that is not a finite
-    real number (a bool included), and a negative gamma."""
-    for name, value in {**betas, **gammas}.items():
-        if isinstance(value, bool) or not isinstance(value, _REALS) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    for name, value in gammas.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
-
-
-def _check_count(name: str, value, low: int):
-    """Refuse a value that is not an integer >= low (a bool included)."""
-    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _checked_stages(stages) -> list[tuple[float, float, int]]:
-    """The stages as (beta, gamma, length) tuples, after refusing anything but
-    a nonempty list of [beta, gamma, length] triples whose values
-    _check_values and _check_count accept (length >= 1)."""
-    if not isinstance(stages, (list, tuple)) or not stages:
-        raise ValueError(f"stages must be a nonempty list of [beta, gamma, length] triples, "
-                         f"got {stages!r}")
-    for k, stage in enumerate(stages):
-        if not (isinstance(stage, (list, tuple)) and len(stage) == 3):
-            raise ValueError(f"stage {k} must be a [beta, gamma, length] triple, got {stage!r}")
-        _check_values({f"stage {k} beta": stage[0]}, {f"stage {k} gamma": stage[1]})
-        _check_count(f"stage {k} length", stage[2], 1)
-    return [(float(b), float(g), int(t)) for b, g, t in stages]
 
 
 @dataclass
@@ -104,7 +69,8 @@ class AnnealSchedule:
     mode 'exponential': beta = beta_i (beta_f/beta_i)^(it/it_max), and the same
     interpolation for gamma when gamma_f differs from gamma_i (gamma stays
     constant otherwise, including at 0).
-    mode 'piecewise': explicit stages (beta_n, gamma_n, T_n).
+    mode 'piecewise': explicit stages (beta_n, gamma_n, T_n); an it_max of
+    None is their total length. check gives each value's rule.
     """
 
     it_max: int
@@ -117,25 +83,27 @@ class AnnealSchedule:
     _stage_bounds: list[int] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("exponential", "piecewise"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        _check_count("it_max", self.it_max, 0)
-        if self.mode == "exponential":
-            gammas = {"gamma": self.gamma_i} | ({} if self.gamma_f is None
-                                               else {"gamma_f": self.gamma_f})
-            _check_values({"beta_i": self.beta_i, "beta_f": self.beta_f}, gammas)
+        if check("mode", self.mode, ("exponential", "piecewise")) == "exponential":
+            check("beta_i", self.beta_i, "real")
+            check("beta_f", self.beta_f, "real")
+            check("gamma", self.gamma_i, "real >= 0")
+            if self.gamma_f is not None:
+                check("gamma_f", self.gamma_f, "real >= 0")
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
             if self.gamma_f is not None and self.gamma_f != self.gamma_i and self.gamma_i == 0:
                 raise ValueError("interpolating gamma needs gamma_i > 0")
         else:
-            self.stages = _checked_stages(self.stages)
+            self.stages = check("stages", self.stages, "stages")
             betas, _, lengths = zip(*self.stages)
             if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
                 raise ValueError("stage betas must be nondecreasing")
-            if sum(lengths) != self.it_max:
+            if self.it_max is None:
+                self.it_max = sum(lengths)
+            elif sum(lengths) != self.it_max:
                 raise ValueError(f"sum of stage lengths {sum(lengths)} != it_max {self.it_max}")
             self._stage_bounds = list(itertools.accumulate(lengths))
+        check("it_max", self.it_max, "integer >= 0")
 
     @classmethod
     def exponential(cls, beta_i, beta_f, it_max, gamma=0.0, gamma_f=None):
@@ -144,8 +112,7 @@ class AnnealSchedule:
 
     @classmethod
     def piecewise(cls, stages):
-        stages = _checked_stages(stages)
-        return cls(it_max=sum(t for _, _, t in stages), mode="piecewise", stages=stages)
+        return cls(it_max=None, mode="piecewise", stages=stages)
 
     @classmethod
     def azencott_stages(cls, betas, m, kappa1, c_const, b_const, gamma=0.0):
@@ -205,6 +172,55 @@ class RunStats:
 def make_rng(seed) -> np.random.Generator:
     """Version-pinned generator: Philox keyed by SeedSequence(seed), or by a SeedSequence."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def check(name: str, value, rule):
+    """value, after refusing, with a ValueError that names it, one that rule
+    does not take. The rules: "integer >= k"; "real", a finite real number,
+    "real >= k" and "probability", one in [0, 1]; "seed", a non-negative
+    integer or a nonempty list of them (what make_rng and spawn_seed take);
+    "string"; "stages", a nonempty list of [beta, gamma, length] triples,
+    returned as (float, float, int) tuples; and a tuple, the values it holds.
+    numpy scalars are numbers, and a bool is none."""
+    kind, _, low = ("one of", "", "") if isinstance(rule, tuple) else rule.partition(" >= ")
+    if kind == "seed":
+        entries = value if isinstance(value, list) else [value]
+        if not entries or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                  and v >= 0 for v in entries):
+            raise ValueError(f"{name}: a seed is a non-negative integer or a list of them, "
+                             f"got {value!r}")
+        return value
+    if kind == "stages":
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{name} must be a nonempty list of [beta, gamma, length] triples, "
+                             f"got {value!r}")
+        for k, stage in enumerate(value):
+            if not (isinstance(stage, (list, tuple)) and len(stage) == 3):
+                raise ValueError(f"stage {k} must be a [beta, gamma, length] triple, got {stage!r}")
+            try:  # the stage's index is named only in a refusal
+                check("beta", stage[0], "real")
+                check("gamma", stage[1], "real >= 0")
+                check("length", stage[2], "integer >= 1")
+            except ValueError as err:
+                raise ValueError(f"stage {k} {err}") from None
+        return [(float(b), float(g), int(t)) for b, g, t in value]
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if kind == "one of":  # each says is formatted only in a refusal
+        ok, says = value in rule, "one of {rule}"
+    elif kind == "string":
+        ok, says = isinstance(value, str), "a string"
+    elif kind == "integer":
+        ok = real and isinstance(value, (int, np.integer)) and value >= int(low)
+        says = "an integer >= {low}"
+    elif kind == "probability":
+        ok, says = real and 0 <= value <= 1, "a probability in [0, 1]"  # NaN fails too
+    elif not (real and math.isfinite(value)):
+        ok, says = False, "a finite real number"
+    else:
+        ok, says = not low or value >= float(low), "nonnegative" if low == "0" else ">= {low}"
+    if not ok:
+        raise ValueError(f"{name} must be {says.format(rule=rule, low=low)}, got {value!r}")
+    return value
 
 
 def spawn_seed(base_seed, *indices: int) -> np.random.SeedSequence:
@@ -287,10 +303,8 @@ class Chain:
     """
 
     def __init__(self, model, y, schedule, kernel="combined", seed=0):
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
         self.schedule = schedule
-        self.kernel = kernel
+        self.kernel = check("kernel", kernel, KERNELS)
         self.rng = make_rng(seed)
         self.ensemble = ReplicaEnsemble.random(model, y, self.rng)
         self.states = self.ensemble.states

@@ -11,9 +11,9 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import exact, verify
-from .annealer import KERNELS
+from .annealer import KERNELS, check
 from .data_io import ExperimentConfig, _parse_seed, write_results
-from .experiments import (build_schedule, check_specs, robustness_eval, sweep_beta,
+from .experiments import (_idx_files, build_schedule, check_specs, robustness_eval, sweep_beta,
                           sweep_gamma, train_run)
 
 DESK_SCALE_CAP = 100_000
@@ -35,6 +35,7 @@ def _load_config(args) -> ExperimentConfig:
         if args.kernel:
             config.kernel = args.kernel
         check_specs(config)
+        _idx_files(config.dataset)  # a missing MNIST directory or IDX file raises OSError
         it_max = build_schedule(config.schedule).it_max
     except (ValueError, OSError) as err:
         _refuse(args, err)
@@ -110,13 +111,14 @@ def cmd_exact_verify(args) -> int:
 
 def _read_stages(path: str) -> list:
     """(beta_k, T_k) stages from a JSON list of pairs. A file that cannot be
-    read, or a stage that is not a pair, raises ValueError."""
+    read, a stage that is not a pair and a value its rule refuses raise ValueError."""
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ValueError(f"cannot read {path}: {err.strerror}") from err
     try:
-        return [(float(b), float(t)) for b, t in json.loads(text)]
+        return [(check(f"stage {k} beta", b, "real"), check(f"stage {k} T", t, "real >= 1"))
+                for k, (b, t) in enumerate(json.loads(text))]
     except TypeError as err:
         raise ValueError(f"each stage must be a [beta, T] pair: {err}") from err
 
@@ -134,18 +136,18 @@ def cmd_validate_schedule(args) -> int:
     return 0 if verdict.passed else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _argument(parse, rule: str, says: str):
+    """An argparse type: the text parsed and checked by rule, else 'must be <says>'."""
+    def convert(text: str):
+        try:
+            return check("", parse(text), rule)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {says}, got {text}") from None
+    return convert
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {text}")
-    return value
+_positive_int = _argument(int, "integer >= 1", "a positive integer")
+_probability = _argument(float, "probability", "a probability in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealer import KERNELS, make_rng
+from .annealer import KERNELS, check, make_rng
 from .energies import ClassifierDataset
 
 MAGIC_IMAGES = 2051
@@ -189,22 +189,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """The config of a document; a ValueError refuses a document that is not
-        an object, an unknown field, another schema_version, replicas other than
-        an integer >= 1, an unknown kernel and a seed that _check_seed refuses."""
+        an object, an unknown field, a schema_version other than the integer
+        SCHEMA_VERSION and a field that its SPECS rule refuses."""
         if not isinstance(doc, dict):
             raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         config = cls(**doc)
-        if config.schema_version != SCHEMA_VERSION:
+        if type(config.schema_version) is not int or config.schema_version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {config.schema_version!r} is not {SCHEMA_VERSION}")
-        if type(config.replicas) is not int or config.replicas < 1:
-            raise ValueError(f"replicas must be an integer >= 1, got {config.replicas!r}")
-        if config.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
-        _check_seed(config.seed)
+        for name, (rule, _) in SPECS["config", None].items():
+            check(name, getattr(config, name), rule)
         return config
 
     @classmethod
@@ -217,6 +213,54 @@ class ExperimentConfig:
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+REQUIRED = object()  # the default of a key a spec must give
+
+# Every key a config reads, with its rule (see annealer.check) and default:
+# the config's own fields under ("config", None); for each spec section, the
+# keys every spec of it reads under (section, None), the key that names its
+# kind first, and the further keys of a kind, if any, under (section, kind).
+SPECS = {
+    ("config", None): {"replicas": ("integer >= 1", ExperimentConfig.replicas),
+                       "seed": ("seed", ExperimentConfig.seed),
+                       "kernel": (KERNELS, ExperimentConfig.kernel)},
+    ("dataset", None): {"kind": (("synthetic", "mnist"), "synthetic"), "seed": ("seed", 0)},
+    ("dataset", "synthetic"): {"count": ("integer >= 1", 30), "dim": ("integer >= 1", 100)},
+    ("dataset", "mnist"): {"directory": ("string", None), "per_class_train": ("integer >= 1", None),
+                           "per_class_test": ("integer >= 1", None),
+                           "subsample": ("integer >= 1", None)},
+    ("model", None): {"kind": (("perceptron", "cross-entropy"), "perceptron")},
+    ("schedule", None): {"mode": (("exponential", "piecewise"), "exponential")},
+    ("schedule", "exponential"): {"beta_i": ("real", REQUIRED), "beta_f": ("real", REQUIRED),
+                                  "gamma": ("real >= 0", 0.0), "gamma_f": ("real >= 0", None),
+                                  "it_max": ("integer >= 0", REQUIRED)},
+    ("schedule", "piecewise"): {"stages": ("stages", REQUIRED)},
+}
+
+
+def spec_values(spec: dict, section: str) -> tuple[str, dict]:
+    """(kind, values) of a dataset, model or schedule spec, values a new dict
+    of each key the kind reads: the spec's value, else the default. A
+    ValueError refuses a spec that SPECS does not allow; a schedule's values
+    are left to AnnealSchedule, which checks them by the same rules."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"the {section} spec must be an object, got {spec!r}")
+    key, (kinds, default) = next(iter(SPECS[section, None].items()))
+    kind = spec.get(key, default)
+    if kind not in kinds:
+        raise ValueError(f"unknown {section} {key} {kind!r}")
+    rules = SPECS[section, None] | SPECS.get((section, kind), {})
+    unknown = spec.keys() - rules.keys()
+    if unknown:
+        raise ValueError(f"{section} {key} {kind!r} does not read the keys {sorted(unknown)}")
+    missing = [name for name, (_, value) in rules.items() if value is REQUIRED and name not in spec]
+    if missing:
+        raise ValueError(f"{section} {key} {kind!r} needs the keys {missing}")
+    for name, value in spec.items():
+        if name != key and section != "schedule":
+            check(f"{section} {name}", value, rules[name][0])
+    return kind, {name: spec.get(name, value) for name, (_, value) in rules.items()}
 
 
 @dataclass
@@ -266,15 +310,8 @@ def write_results(records, path) -> None:
             writer.writerow([_fmt(getattr(rec, col)) for col in RESULT_COLUMNS])
 
 
-def _check_seed(seed):
-    """The seed, after refusing anything but a non-negative integer or a list of them."""
-    if not all(type(v) is int and v >= 0 for v in (seed if isinstance(seed, list) else [seed])):
-        raise ValueError(f"a seed is a non-negative integer or a list of them, got {seed!r}")
-    return seed
-
-
 def _parse_seed(text: str):
-    return _check_seed([int(v) for v in text.split("/")] if "/" in text else int(text))
+    return check("seed", [int(v) for v in text.split("/")] if "/" in text else int(text), "seed")
 
 
 # a CSV column's parser, float where not listed; the optional columns read "" as None

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annealer import AnnealSchedule, Chain, make_rng, spawn_seed
+from .annealer import AnnealSchedule, Chain, check, make_rng, spawn_seed
 from .data_io import (
     ExperimentConfig,
     ResultRecord,
-    _check_seed,
     load_mnist,
     make_splits,
     mnist_paths,
+    spec_values,
     subsample,
 )
 from .energies import (
@@ -31,66 +31,16 @@ from .energies import (
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# the keys each config spec reads, by its kind or mode; any other key is refused
-SPEC_KEYS = {
-    ("dataset", "synthetic"): ("kind", "count", "dim", "seed"),
-    ("dataset", "mnist"): ("kind", "directory", "per_class_train", "per_class_test",
-                           "subsample", "seed"),
-    ("model", "perceptron"): ("kind",),
-    ("model", "cross-entropy"): ("kind",),
-    ("schedule", "exponential"): ("mode", "beta_i", "beta_f", "gamma", "gamma_f", "it_max"),
-    ("schedule", "piecewise"): ("mode", "stages"),
-}
-# the keys a spec of that kind or mode must give, having no default
-SPEC_REQUIRED = {
-    ("schedule", "exponential"): ("beta_i", "beta_f", "it_max"),
-    ("schedule", "piecewise"): ("stages",),
-}
 # the dataset kind each model kind reads: patterns, or labelled images
 MODEL_DATASET = {"perceptron": "synthetic", "cross-entropy": "mnist"}
 
 
-def _spec_kind(spec: dict, section: str, key: str, default: str) -> str:
-    """The spec's kind (or mode), after refusing a spec that is not an object,
-    an unknown kind, every key that kind does not read and a missing key it
-    needs."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"the {section} spec must be an object, got {spec!r}")
-    kind = spec.get(key, default)
-    if (section, kind) not in SPEC_KEYS:
-        raise ValueError(f"unknown {section} {key} {kind!r}")
-    unknown = sorted(set(spec) - set(SPEC_KEYS[section, kind]))
-    if unknown:
-        raise ValueError(f"{section} {key} {kind!r} does not read the keys {unknown}")
-    missing = [name for name in SPEC_REQUIRED.get((section, kind), ()) if name not in spec]
-    if missing:
-        raise ValueError(f"{section} {key} {kind!r} needs the keys {missing}")
-    return kind
-
-
-def _dataset_kind(spec: dict) -> str:
-    """The dataset spec's kind, after _spec_kind's checks and refusing a seed
-    that _check_seed refuses and a synthetic count or dim that is not an
-    integer >= 1."""
-    kind = _spec_kind(spec, "dataset", "kind", "synthetic")
-    if "seed" in spec:
-        try:
-            _check_seed(spec["seed"])
-        except ValueError as err:
-            raise ValueError(f"dataset seed: {err}") from None
-    if kind == "synthetic":
-        for name in ("count", "dim"):
-            if name in spec and not (type(spec[name]) is int and spec[name] >= 1):
-                raise ValueError(f"dataset {name} must be an integer >= 1, got {spec[name]!r}")
-    return kind
-
-
 def check_specs(config: ExperimentConfig) -> str:
     """The config's model kind. Before any data is built, a ValueError refuses
-    a dataset or model spec that _dataset_kind or _spec_kind refuses, and a
-    model kind that does not read the dataset's kind."""
-    dataset = _dataset_kind(config.dataset)
-    model = _spec_kind(config.model, "model", "kind", "perceptron")
+    a dataset or model spec that data_io.spec_values refuses, and a model
+    kind that does not read the dataset's kind."""
+    dataset, _ = spec_values(config.dataset, "dataset")
+    model, _ = spec_values(config.model, "model")
     if MODEL_DATASET[model] != dataset:
         raise ValueError(f"a {model} model needs a {MODEL_DATASET[model]} dataset, "
                          f"not {dataset}")
@@ -98,24 +48,21 @@ def check_specs(config: ExperimentConfig) -> str:
 
 
 def build_dataset(spec: dict):
-    """Returns (train, test_or_None) for a config dataset spec."""
-    if _dataset_kind(spec) == "synthetic":
-        patterns = generate_synthetic(count=spec.get("count", 30),
-                                      dim=spec.get("dim", 100),
-                                      seed=spec.get("seed", 0))
-        return patterns, None
-    train, test = load_mnist(spec.get("directory"))
-    per_train = spec.get("per_class_train")
-    per_test = spec.get("per_class_test")
+    """Returns (train, test_or_None) for a config dataset spec; one per_class_*
+    key alone splits 6000 train and 1000 test samples a class for the other."""
+    kind, spec = spec_values(spec, "dataset")
+    if kind == "synthetic":
+        return generate_synthetic(count=spec["count"], dim=spec["dim"], seed=spec["seed"]), None
+    train, test = load_mnist(spec["directory"])
+    per_train, per_test = spec["per_class_train"], spec["per_class_test"]
     if per_train or per_test:
         merged = ClassifierDataset(
             inputs=np.concatenate([train.inputs, test.inputs]),
             targets=np.concatenate([train.targets, test.targets]),
             num_classes=10)
-        train, test = make_splits(merged, per_train or 6000, per_test or 1000,
-                                  seed=spec.get("seed", 0))
-    if spec.get("subsample"):
-        train = subsample(train, spec["subsample"], seed=spec.get("seed", 0))
+        train, test = make_splits(merged, per_train or 6000, per_test or 1000, seed=spec["seed"])
+    if spec["subsample"]:
+        train = subsample(train, spec["subsample"], seed=spec["seed"])
     return train, test
 
 
@@ -162,11 +109,11 @@ def _cached_model(specs: str, kind: str, idx_files: tuple):
 
 def build_schedule(spec: dict) -> AnnealSchedule:
     """The schedule of a config spec; a ValueError refuses a spec that
-    _spec_kind or AnnealSchedule refuses."""
-    if _spec_kind(spec, "schedule", "mode", "exponential") == "exponential":
-        return AnnealSchedule.exponential(
-            beta_i=spec["beta_i"], beta_f=spec["beta_f"], it_max=spec["it_max"],
-            gamma=spec.get("gamma", 0.0), gamma_f=spec.get("gamma_f"))
+    data_io.spec_values or AnnealSchedule refuses."""
+    mode, spec = spec_values(spec, "schedule")
+    if mode == "exponential":
+        return AnnealSchedule.exponential(spec["beta_i"], spec["beta_f"], spec["it_max"],
+                                          gamma=spec["gamma"], gamma_f=spec["gamma_f"])
     return AnnealSchedule.piecewise(spec["stages"])
 
 
@@ -224,10 +171,9 @@ def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 100
     """Accuracy after flipping exactly round(p*N) distinct random coordinates,
     averaged over repetitions with a normal-approximation 95% CI. Each p must
     lie in [0, 1]."""
-    if repetitions < 1:
-        raise ValueError(f"a robustness curve needs at least one repetition, got {repetitions}")
-    if not all(0.0 <= p <= 1.0 for p in p_values):
-        raise ValueError(f"each p must lie in [0, 1], got {list(p_values)}")
+    check("repetitions", repetitions, "integer >= 1")
+    for p in p_values:
+        check("p", p, "probability")
     n = weights.size
     curve = []
     for p_idx, p in enumerate(p_values):
@@ -288,8 +234,8 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
     (base seed, point index, repetition) so order does not matter. Every
     point's schedule is built before the first run, so a ValueError refuses
     a point that build_schedule refuses before any run or pool starts."""
-    if repetitions < 1 or jobs < 1:
-        raise ValueError(f"a sweep needs a repetition and a job, got {repetitions} and {jobs}")
+    check("repetitions", repetitions, "integer >= 1")
+    check("jobs", jobs, "integer >= 1")
     tasks = []
     for p_idx, overrides in enumerate(points):
         config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})

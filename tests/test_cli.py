@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from replica_anneal import cli, experiments
-from replica_anneal.data_io import ExperimentConfig, read_results
+from replica_anneal.data_io import MNIST_FILES, REQUIRED, SPECS, ExperimentConfig, read_results
 
 
 def _write_config(tmp_path, **overrides):
@@ -168,7 +168,13 @@ def test_validate_schedule_stages_file_fails(tmp_path, capsys):
     ([[1.0, 5], [math.nan, 5]], "finite"),
     ([[1.0, 5], [2.0]], "not enough values to unpack"),
     ([1.0, 2.0], "each stage must be a [beta, T] pair"),
-], ids=["empty", "one-stage", "nan-beta", "short-stage", "bare-number"])
+    ([["1", "5"], [True, "5"]], "stage 0 beta must be a finite real number, got '1'"),
+    ([[1.0, 5], [True, 5]], "stage 1 beta must be a finite real number, got True"),
+    ([[1.0, "5"], [2.0, 5]], "stage 0 T must be a finite real number, got '5'"),
+    ([[1.0, 5], [2.0, False]], "stage 1 T must be a finite real number, got False"),
+    ([[1.0, 5], [2.0, 0.5]], "stage 1 T must be >= 1, got 0.5"),
+], ids=["empty", "one-stage", "nan-beta", "short-stage", "bare-number", "strings",
+        "bool-beta", "string-t", "bool-t", "short-t"])
 def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_path, capsys):
     """Exit code 2 and one line on stderr, no traceback; code 1 stays a FAIL
     verdict."""
@@ -244,6 +250,23 @@ def _text_file(path, text):
     return path
 
 
+def _mnist_config(tmp_path, **spec):
+    """A cross-entropy config over an mnist spec with these keys; no IDX file
+    is read before the run."""
+    return _write_config(tmp_path, dataset={"kind": "mnist", **spec},
+                         model={"kind": "cross-entropy"})
+
+
+def _idx_files_but_one(tmp_path):
+    """A directory holding every MNIST IDX file name but the test labels."""
+    directory = tmp_path / "idx"
+    directory.mkdir()
+    for key, name in MNIST_FILES.items():
+        if key != "test_labels":
+            (directory / name).write_bytes(b"")
+    return directory
+
+
 # ExperimentConfig.save, which _write_config calls, checks nothing
 @pytest.mark.parametrize("argv, make, reason", [
     (["train"], lambda tmp: tmp / "missing.json", "No such file or directory"),
@@ -307,11 +330,34 @@ def _text_file(path, text):
     (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
      lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "seed": 1.5}),
      "dataset seed: a seed is a non-negative integer or a list of them, got 1.5"),
+    (["train"], lambda tmp: _write_config(tmp, dataset={"kind": "synthetic", "seed": []}),
+     "dataset seed: a seed is a non-negative integer or a list of them, got []"),
+    (["train"], lambda tmp: _write_config(tmp, seed=[]),
+     "a seed is a non-negative integer or a list of them, got []"),
+    (["train"], lambda tmp: _write_config(tmp, schema_version=True),
+     "schema_version True is not 1"),
+    (["train"], lambda tmp: _mnist_config(tmp, subsample=2.5),
+     "dataset subsample must be an integer >= 1, got 2.5"),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
+     lambda tmp: _mnist_config(tmp, per_class_train=-3),
+     "dataset per_class_train must be an integer >= 1, got -3"),
+    (["robustness"], lambda tmp: _mnist_config(tmp, per_class_test=True),
+     "dataset per_class_test must be an integer >= 1, got True"),
+    (["train"], lambda tmp: _mnist_config(tmp, directory=5),
+     "dataset directory must be a string, got 5"),
+    (["train"], lambda tmp: _mnist_config(tmp, directory=str(tmp / "absent")),
+     "missing MNIST files in "),
+    (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
+     lambda tmp: _mnist_config(tmp, directory=str(_idx_files_but_one(tmp))),
+     "missing MNIST files in "),
 ], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
         "kernel", "schema-version", "seed", "model-kind", "dataset-count", "dataset-dim",
         "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number",
         "stages-not-list", "stage-pair", "beta-string", "gamma-bool", "it-max-float",
-        "stage-length-float", "stage-strings", "dataset-seed-negative", "dataset-seed-float"])
+        "stage-length-float", "stage-strings", "dataset-seed-negative", "dataset-seed-float",
+        "dataset-seed-empty", "seed-empty", "schema-version-bool", "mnist-subsample",
+        "mnist-per-class-train", "mnist-per-class-test", "mnist-directory",
+        "mnist-directory-absent", "mnist-file-absent"])
 def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
                                                   capsys):
     _refuse_runs(monkeypatch)
@@ -363,19 +409,24 @@ def test_sweep_gamma_over_a_piecewise_config_is_refused_before_any_run(tmp_path,
 
 
 def test_readme_spec_table_matches_spec_keys():
-    """The README's table of config spec keys is experiments.SPEC_KEYS."""
+    """The README's table of config keys, rules and defaults is data_io.SPECS."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("\n| Spec | Keys |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = readme.split("\n| Spec | Key | Rule | Default |\n| --- | --- | --- | --- |\n",
+                         1)[1].split("\n\n", 1)[0]
     documented = {}
     for row in table.splitlines():
-        label, cell = (part.strip() for part in row.strip("|").split("|"))
-        keys, _, note = cell.partition("(")
-        words = label.split()
-        # a one-word row names its kinds in the note, as the model row does
-        kinds = re.findall(r"`([^`]+)`", note) if len(words) == 1 else [words[0]]
-        for kind in kinds:
-            documented[words[-1], kind] = tuple(re.findall(r"`([^`]+)`", keys))
-    assert documented == experiments.SPEC_KEYS
+        label, key, rule, default = (part.strip() for part in row.strip("|").split("|"))
+        *kind, section = label.split()
+        documented[section, *kind or [None], key.strip("`")] = (rule, default)
+
+    def text(rule, default):
+        rule = " or ".join(f"`{v}`" for v in rule) if isinstance(rule, tuple) else rule
+        return rule, ("required" if default is REQUIRED else "none" if default is None
+                      else f"`{json.dumps(default)}`")
+
+    assert documented == {(section, kind, key): text(*spec)
+                          for (section, kind), keys in SPECS.items()
+                          for key, spec in keys.items()}
 
 
 def test_readme_cli_examples_parse():

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from replica_anneal.annealer import check
 from replica_anneal.data_io import (
     BadMagicError,
     CountMismatchError,
@@ -12,6 +13,8 @@ from replica_anneal.data_io import (
     IdxFile,
     MAGIC_IMAGES,
     MAGIC_LABELS,
+    REQUIRED,
+    SPECS,
     ResultRecord,
     TruncatedPayloadError,
     dataset_from_idx,
@@ -20,11 +23,13 @@ from replica_anneal.data_io import (
     parse_idx,
     read_idx,
     read_results,
+    spec_values,
     subsample,
     write_idx,
     write_results,
 )
 from replica_anneal.energies import PIXEL_LEVELS, ClassifierDataset
+from replica_anneal.experiments import build_dataset, build_schedule
 
 
 def _image_bytes(images: np.ndarray) -> bytes:
@@ -192,12 +197,66 @@ def test_config_rejects_unknown_fields():
     ("kernel", "bogus", "kernel"),
     ("seed", -1, "seed"),
     ("seed", [1, -2, 0], "seed"),
+    ("seed", [], "seed"),
+    ("schema_version", True, "schema_version"),
+    ("schema_version", 1.0, "schema_version"),
 ])
 def test_config_refuses_a_field_the_run_cannot_use(field, value, reason):
     doc = ExperimentConfig().to_dict()
     with pytest.raises(ValueError, match=reason):
         ExperimentConfig.from_dict({**doc, field: value})
     assert ExperimentConfig.from_dict({**doc, "seed": [0, 1, 1]}).seed == [0, 1, 1]
+
+
+# a valid spec of each kind, without the keys that have defaults
+_VALID = {
+    ("dataset", "synthetic"): {"kind": "synthetic"},
+    ("dataset", "mnist"): {"kind": "mnist"},
+    ("model", "perceptron"): {"kind": "perceptron"},
+    ("model", "cross-entropy"): {"kind": "cross-entropy"},
+    ("schedule", "exponential"): {"beta_i": 0.1, "beta_f": 1.0, "it_max": 10},
+    ("schedule", "piecewise"): {"mode": "piecewise", "stages": [[1.0, 0.0, 5]]},
+}
+
+
+def _apply_specs(section, spec):
+    """The check that a config's spec goes through: from_dict for the
+    config's own fields, build_schedule for a schedule, spec_values else."""
+    if section == "config":
+        return ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), **spec})
+    if section == "schedule":
+        return build_schedule(spec)
+    return spec_values(spec, section)
+
+
+@pytest.mark.parametrize("section, kind, key", [
+    (section, kind, key) for (section, kind), keys in SPECS.items() for key in keys])
+def test_every_spec_key_has_a_default_its_rule_takes_and_refuses_a_wrong_type(section, kind,
+                                                                              key):
+    rule, default = SPECS[section, kind][key]
+    if default is not REQUIRED and default is not None:
+        assert check(key, default, rule) == default
+    kinds = [k for s, k in _VALID if s == section and (kind is None or k == kind)] or [None]
+    for base in (_VALID.get((section, k), {}) for k in kinds):
+        _apply_specs(section, base)
+        wrong = 5 if rule == "string" else "x"
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            _apply_specs(section, {**base, key: wrong})
+
+
+def test_defaults_are_applied_to_a_copy_of_the_spec():
+    """A spec keeps only its own keys, so a config keeps its hash."""
+    dataset = {"kind": "synthetic", "count": 3, "dim": 4}
+    schedule = dict(_VALID["schedule", "exponential"])
+    config = ExperimentConfig(dataset=dataset, schedule=schedule)
+    digest = config.hash()
+    build_dataset(dataset)
+    build_schedule(schedule)
+    assert spec_values(dataset, "dataset")[1] == {"kind": "synthetic", "seed": 0, "count": 3,
+                                                  "dim": 4}
+    assert dataset == {"kind": "synthetic", "count": 3, "dim": 4}
+    assert schedule == _VALID["schedule", "exponential"]
+    assert config.hash() == digest
 
 
 def _record(run_id="r0", test=None):
