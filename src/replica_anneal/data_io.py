@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealer import KERNELS, check, make_rng
+from .annealer import KERNELS, AnnealSchedule, check, make_rng
 from .energies import ClassifierDataset
 
 MAGIC_IMAGES = 2051
@@ -169,9 +169,13 @@ def subsample(dataset: ClassifierDataset, count: int, seed: int = 0) -> Classifi
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One JSON-serializable document describing a run."""
+    """One JSON-serializable document describing a run. Made in code, from a
+    document or by dataclasses.replace, it refuses with a ValueError a
+    schema_version other than the integer SCHEMA_VERSION, a field or a dataset
+    or model spec that SPECS refuses, a model kind that does not read the
+    dataset's kind and a schedule that build_schedule refuses."""
 
     dataset: dict = field(default_factory=lambda: {"kind": "synthetic", "count": 30, "dim": 100})
     model: dict = field(default_factory=lambda: {"kind": "perceptron"})
@@ -183,25 +187,31 @@ class ExperimentConfig:
     kernel: str = "combined"
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        if type(self.schema_version) is not int or self.schema_version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {self.schema_version!r} is not {SCHEMA_VERSION}")
+        for name, (rule, _) in SPECS["config", None].items():
+            check(name, getattr(self, name), rule)
+        dataset, _ = spec_values(self.dataset, "dataset")
+        model, _ = spec_values(self.model, "model")
+        if MODEL_DATASET[model] != dataset:
+            raise ValueError(f"a {model} model needs a {MODEL_DATASET[model]} dataset, "
+                             f"not {dataset}")
+        build_schedule(self.schedule)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """The config of a document; a ValueError refuses a document that is not
-        an object, an unknown field, a schema_version other than the integer
-        SCHEMA_VERSION and a field that its SPECS rule refuses."""
+        an object, an unknown field and a config that cls refuses."""
         if not isinstance(doc, dict):
             raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        config = cls(**doc)
-        if type(config.schema_version) is not int or config.schema_version != SCHEMA_VERSION:
-            raise ValueError(f"schema_version {config.schema_version!r} is not {SCHEMA_VERSION}")
-        for name, (rule, _) in SPECS["config", None].items():
-            check(name, getattr(config, name), rule)
-        return config
+        return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -238,6 +248,9 @@ SPECS = {
     ("schedule", "piecewise"): {"stages": ("stages", REQUIRED)},
 }
 
+# the dataset kind each model kind reads: patterns, or labelled images
+MODEL_DATASET = {"perceptron": "synthetic", "cross-entropy": "mnist"}
+
 
 def spec_values(spec: dict, section: str) -> tuple[str, dict]:
     """(kind, values) of a dataset, model or schedule spec, values a new dict
@@ -261,6 +274,16 @@ def spec_values(spec: dict, section: str) -> tuple[str, dict]:
         if name != key and section != "schedule":
             check(f"{section} {name}", value, rules[name][0])
     return kind, {name: spec.get(name, value) for name, (_, value) in rules.items()}
+
+
+def build_schedule(spec: dict) -> AnnealSchedule:
+    """The schedule of a config spec; a ValueError refuses a spec that
+    spec_values or AnnealSchedule refuses."""
+    mode, spec = spec_values(spec, "schedule")
+    if mode == "exponential":
+        return AnnealSchedule.exponential(spec["beta_i"], spec["beta_f"], spec["it_max"],
+                                          gamma=spec["gamma"], gamma_f=spec["gamma_f"])
+    return AnnealSchedule.piecewise(spec["stages"])
 
 
 @dataclass
@@ -294,14 +317,17 @@ def _fmt(value):
     return str(value)  # a float's str is its repr: the shortest text that reads back as it
 
 
+def _check_header(header: list, path) -> None:
+    if header != RESULT_COLUMNS:
+        raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
+
+
 def write_results(records, path) -> None:
     path = Path(path)
     new_file = not path.exists() or path.stat().st_size == 0
     if not new_file:
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if header != RESULT_COLUMNS:
-            raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
+            _check_header(next(csv.reader(fh), []), path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
@@ -320,11 +346,18 @@ _PARSERS = {"run_id": str, "config_hash": str, "seed": _parse_seed, "replicas": 
 _OPTIONAL = ("test_loss", "test_accuracy", "mean_train_loss", "mean_train_accuracy")
 
 
-def read_results(path):
+def read_results(path) -> list[ResultRecord]:
+    """The records of a results file, none in an empty one. A ValueError names the
+    file of a header other than RESULT_COLUMNS, and also the line of a row of another length."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.reader(fh)
+        _check_header(next(rows, RESULT_COLUMNS), path)
+        for row in filter(None, rows):  # blank lines hold no record
+            if len(row) != len(RESULT_COLUMNS):
+                raise ValueError(f"{path} line {rows.line_num} has {len(row)} cells, "
+                                 f"expected {len(RESULT_COLUMNS)}")
             records.append(ResultRecord(**{
                 col: None if col in _OPTIONAL and not text else _PARSERS.get(col, float)(text)
-                for col, text in row.items()}))
+                for col, text in zip(RESULT_COLUMNS, row)}))
     return records

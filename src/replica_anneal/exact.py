@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealer import log_cosh_stable
+from .annealer import check, log_cosh_stable
 from .energies import DimensionError
 
 MAX_NY_TABLES = 16
@@ -534,21 +534,21 @@ def validate_schedule(stages, m: float, kappa1: float) -> ScheduleVerdict:
     """Finite-horizon check of the convergence criterion
     -sum_k T_k e^{-beta_k m} + n log kappa1 -> -infinity.
 
-    stages: sequence of at least two (beta_k, T_k), all finite, with T_k >= 1;
-    m and kappa1 finite, kappa1 > 0. A ValueError refuses any other input.
-    PASS requires the trace to end below
-    -SCHEDULE_THRESHOLD with a negative trailing-quarter slope.
+    stages: at least two [beta_k, T_k] pairs, beta_k "real" and T_k "real >= 1"
+    (annealer.check's rules); m and kappa1 finite, kappa1 > 0. A ValueError refuses
+    any other input. PASS requires the trace to end below -SCHEDULE_THRESHOLD with
+    a negative trailing-quarter slope.
     """
+    try:
+        stages = [(check(f"stage {k} beta", b, "real"), check(f"stage {k} T", t, "real >= 1"))
+                  for k, (b, t) in enumerate(stages)]
+    except TypeError as err:
+        raise ValueError(f"each stage must be a [beta, T] pair: {err}") from err
     if len(stages) < 2:
         raise ValueError(f"a schedule needs at least two stages, got {len(stages)}")
     if not (math.isfinite(m) and math.isfinite(kappa1) and kappa1 > 0):
         raise ValueError(f"m and kappa1 must be finite and kappa1 positive, got {m}, {kappa1}")
-    betas = np.array([s[0] for s in stages], dtype=np.float64)
-    lengths = np.array([s[1] for s in stages], dtype=np.float64)
-    if not (np.isfinite(betas).all() and np.isfinite(lengths).all()):
-        raise ValueError("stage betas and lengths must be finite")
-    if np.any(lengths < 1):
-        raise ValueError("stage lengths must be >= 1")
+    betas, lengths = np.array(stages, dtype=np.float64).T
     weights = lengths * np.exp(-betas * m)
     weight_sum = np.cumsum(weights)
     n_idx = np.arange(1, betas.size + 1, dtype=np.float64)

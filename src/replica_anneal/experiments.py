@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annealer import AnnealSchedule, Chain, check, make_rng, spawn_seed
+from .annealer import Chain, check, make_rng, spawn_seed
 from .data_io import (
     ExperimentConfig,
     ResultRecord,
+    build_schedule,
     load_mnist,
     make_splits,
     mnist_paths,
@@ -30,22 +31,6 @@ from .energies import (
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-# the dataset kind each model kind reads: patterns, or labelled images
-MODEL_DATASET = {"perceptron": "synthetic", "cross-entropy": "mnist"}
-
-
-def check_specs(config: ExperimentConfig) -> str:
-    """The config's model kind. Before any data is built, a ValueError refuses
-    a dataset or model spec that data_io.spec_values refuses, and a model
-    kind that does not read the dataset's kind."""
-    dataset, _ = spec_values(config.dataset, "dataset")
-    model, _ = spec_values(config.model, "model")
-    if MODEL_DATASET[model] != dataset:
-        raise ValueError(f"a {model} model needs a {MODEL_DATASET[model]} dataset, "
-                         f"not {dataset}")
-    return model
-
 
 def build_dataset(spec: dict):
     """Returns (train, test_or_None) for a config dataset spec; one per_class_*
@@ -73,13 +58,11 @@ def build_model(config: ExperimentConfig):
     The key is the canonical JSON of the two specs, as in ExperimentConfig.hash,
     and for an mnist dataset the resolved path, size, mtime and inode of each
     IDX file, so rewriting a file builds the model again; a missing file raises
-    load_mnist's error, and specs that check_specs refuses raise its ValueError
-    before any file is read. The cache holds one entry. The datasets' arrays
-    are read-only, since later runs share them.
+    load_mnist's error. The cache holds one entry. The datasets' arrays are
+    read-only, since later runs share them.
     """
-    kind = check_specs(config)
     specs = json.dumps([config.dataset, config.model], sort_keys=True, separators=(",", ":"))
-    return _cached_model(specs, kind, _idx_files(config.dataset))
+    return _cached_model(specs, _idx_files(config.dataset))
 
 
 def _idx_files(spec: dict) -> tuple:
@@ -92,29 +75,18 @@ def _idx_files(spec: dict) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _cached_model(specs: str, kind: str, idx_files: tuple):
-    """build_model's result for the JSON [dataset, model] specs, whose model
-    kind is kind. kind and idx_files are only part of the key; a build that
-    raises is not cached."""
-    dataset_spec, _ = json.loads(specs)
+def _cached_model(specs: str, idx_files: tuple):
+    """build_model's result for the JSON [dataset, model] specs. idx_files is
+    only part of the key; a build that raises is not cached."""
+    dataset_spec, model_spec = json.loads(specs)
     data, test = build_dataset(dataset_spec)
     for dataset in (data, test) if test is not None else (data,):
         for value in vars(dataset).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-    if kind == "perceptron":
+    if spec_values(model_spec, "model")[0] == "perceptron":
         return PerceptronEnergy(data), None
     return CrossEntropyEnergy(data), test
-
-
-def build_schedule(spec: dict) -> AnnealSchedule:
-    """The schedule of a config spec; a ValueError refuses a spec that
-    data_io.spec_values or AnnealSchedule refuses."""
-    mode, spec = spec_values(spec, "schedule")
-    if mode == "exponential":
-        return AnnealSchedule.exponential(spec["beta_i"], spec["beta_f"], spec["it_max"],
-                                          gamma=spec["gamma"], gamma_f=spec["gamma_f"])
-    return AnnealSchedule.piecewise(spec["stages"])
 
 
 @dataclass
@@ -127,8 +99,9 @@ class TrainOutcome:
 
 def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> TrainOutcome:
     """One full annealing run; the reported model is the replica with the
-    lowest final training loss, with the replica mean reported alongside."""
-    seed = config.seed if seed is None else seed
+    lowest final training loss, with the replica mean reported alongside. A
+    seed given here replaces the config's, after the "seed" rule checks it."""
+    seed = config.seed if seed is None else check("seed", seed, "seed")
     model, test = build_model(config)
     schedule = build_schedule(config.schedule)
     chain = Chain(model, config.replicas, schedule, kernel=config.kernel, seed=seed)
@@ -232,14 +205,13 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
               jobs: int = 1) -> list[SweepPoint]:
     """points: list of {"schedule": overrides}; seeds are derived from
     (base seed, point index, repetition) so order does not matter. Every
-    point's schedule is built before the first run, so a ValueError refuses
-    a point that build_schedule refuses before any run or pool starts."""
+    point's config is made before the first run, so a ValueError refuses a
+    point that ExperimentConfig refuses before any run or pool starts."""
     check("repetitions", repetitions, "integer >= 1")
     check("jobs", jobs, "integer >= 1")
     tasks = []
     for p_idx, overrides in enumerate(points):
         config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})
-        build_schedule(config.schedule)
         for rep in range(repetitions):
             entropy = spawn_seed(base.seed, p_idx, rep).entropy
             tasks.append((config, entropy, f"sweep-{p_idx}-{rep}"))

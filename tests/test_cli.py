@@ -18,9 +18,9 @@ def _write_config(tmp_path, **overrides):
         schedule={"mode": "exponential", "beta_i": 0.1, "beta_f": 100.0,
                   "gamma": 0.0, "it_max": 1500},
         replicas=2, seed=0)
-    base.update(overrides)
+    doc = {**ExperimentConfig().to_dict(), **base, **overrides}
     path = tmp_path / "config.json"
-    ExperimentConfig(**base).save(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -267,7 +267,7 @@ def _idx_files_but_one(tmp_path):
     return directory
 
 
-# ExperimentConfig.save, which _write_config calls, checks nothing
+# _write_config writes the document unchecked, as a config file on disk may be
 @pytest.mark.parametrize("argv, make, reason", [
     (["train"], lambda tmp: tmp / "missing.json", "No such file or directory"),
     (["train"], lambda tmp: _text_file(tmp / "bad.json", "{"), "Expecting property name"),

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from replica_anneal import experiments
 from replica_anneal.annealer import check
 from replica_anneal.data_io import (
     BadMagicError,
@@ -208,6 +210,31 @@ def test_config_refuses_a_field_the_run_cannot_use(field, value, reason):
     assert ExperimentConfig.from_dict({**doc, "seed": [0, 1, 1]}).seed == [0, 1, 1]
 
 
+@pytest.mark.parametrize("make", [
+    lambda fields: ExperimentConfig(**fields),
+    lambda fields: dataclasses.replace(ExperimentConfig(), **fields),
+], ids=["new", "replace"])
+@pytest.mark.parametrize("fields, message", [
+    ({"replicas": 2.0}, "replicas must be an integer >= 1, got 2.0"),
+    ({"replicas": 0}, "replicas must be an integer >= 1, got 0"),
+    ({"seed": -1}, "seed: a seed is a non-negative integer or a list of them, got -1"),
+    ({"kernel": "x"}, "kernel must be one of ('two-stage', 'combined'), got 'x'"),
+    ({"model": {"kind": "cross-entropy"}},
+     "a cross-entropy model needs a mnist dataset, not synthetic"),
+    ({"schedule": {"beta_i": 10.0, "beta_f": 1.0, "it_max": 0}}, "need beta_f >= beta_i > 0"),
+], ids=["replicas-real", "replicas-0", "seed", "kernel", "model-dataset", "beta-order"])
+def test_a_config_built_in_code_is_refused_when_made(make, fields, message, monkeypatch):
+    """A config made in code is checked as one loaded from a document is,
+    before train_run builds a dataset or a chain."""
+    def never(*args, **kwargs):
+        raise AssertionError("built from a refused config")
+
+    monkeypatch.setattr(experiments, "build_dataset", never)
+    monkeypatch.setattr(experiments, "Chain", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiments.train_run(make(fields))
+
+
 # a valid spec of each kind, without the keys that have defaults
 _VALID = {
     ("dataset", "synthetic"): {"kind": "synthetic"},
@@ -303,3 +330,22 @@ def test_results_empty_list_header_only(tmp_path):
     write_results([], path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("run_id")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: ["run_id,seed,loss", "old,1,2.0"], r"has header \['run_id', 'seed', 'loss'\]"),
+    (lambda lines: [*lines[:2], lines[2] + ",extra"], "line 3 has 17 cells, expected 16"),
+    (lambda lines: [lines[0], "a,abc,1", *lines[2:]], "line 2 has 3 cells, expected 16"),
+], ids=["foreign-header", "extra-cell", "short-row"])
+def test_read_results_refuses_a_malformed_file(edit, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    write_results([_record("a"), _record("b")], path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + " " + message):
+        read_results(path)
+
+
+def test_read_results_of_an_empty_file_is_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert read_results(path) == []

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -679,6 +680,17 @@ def test_validate_schedule_refuses_what_it_cannot_judge(stages, m, kappa1, messa
     log kappa1 needs kappa1 > 0."""
     with pytest.raises(ValueError, match=message):
         exact.validate_schedule(stages, m=m, kappa1=kappa1)
+
+
+@pytest.mark.parametrize("stages, message", [
+    ([("1", "5"), (True, "5")], "stage 0 beta must be a finite real number, got '1'"),
+    ([(1.0, 5.0), (2.0, 0.5)], "stage 1 T must be >= 1, got 0.5"),
+    ([(1.0, 5.0), 2.0], "each stage must be a [beta, T] pair"),
+], ids=["strings", "short-t", "bare-number"])
+def test_validate_schedule_applies_the_stage_rules(stages, message):
+    """The rules that validate-schedule --stages-file applies, for any caller."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact.validate_schedule(stages, m=1.0, kappa1=math.e)
 
 
 def test_validate_schedule_judges_two_stages():

@@ -133,9 +133,8 @@ def test_piecewise_row_reports_its_stages():
 
 
 def test_build_model_mismatch():
-    cfg = _small_config(model={"kind": "cross-entropy"})
     with pytest.raises(ValueError):
-        build_model(cfg)
+        build_model(_small_config(model={"kind": "cross-entropy"}))
 
 
 def test_build_schedule_piecewise():
@@ -151,6 +150,15 @@ def test_train_run_deterministic():
     assert a.record.train_loss == b.record.train_loss
     assert a.record.active_transitions == b.record.active_transitions
     assert a.record.config_hash == cfg.hash()
+
+
+@pytest.mark.parametrize("seed", [True, [], -1, 1.5, [0, -1]],
+                         ids=["bool", "empty-list", "negative", "real", "negative-entry"])
+def test_train_run_refuses_a_seed_the_run_cannot_use(seed, monkeypatch):
+    monkeypatch.setattr(experiments, "build_dataset", lambda spec: pytest.fail("built a dataset"))
+    with pytest.raises(ValueError, match=re.escape(f"a seed is a non-negative integer or a "
+                                                   f"list of them, got {seed!r}")):
+        train_run(_small_config(), seed=seed)
 
 
 def test_train_run_picks_lowest_loss_replica():
