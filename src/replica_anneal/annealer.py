@@ -30,8 +30,8 @@ def interaction_delta(ensemble: ReplicaEnsemble, gamma: float, a: int, i: int) -
     """
     if gamma == 0.0:
         return 0.0
-    f = int(ensemble.fields[i])
-    f_new = f - 2 * int(ensemble.states[a].w[i])
+    f = ensemble.fields[i]
+    f_new = f - 2 * ensemble.states[a].w.item(i)
     if gamma != ensemble.log_cosh_gamma:
         ensemble.log_cosh_gamma = gamma
         ensemble.log_cosh = [None] * (2 * ensemble.y + 1)
@@ -45,14 +45,17 @@ def interaction_delta(ensemble: ReplicaEnsemble, gamma: float, a: int, i: int) -
 
 
 def accept_two_stage(delta_e: float, delta_h: float, beta: float) -> float:
-    """Product of the proposal-stage cosh ratio and the Metropolis energy factor."""
-    p1 = math.exp(min(delta_h, 0.0))
-    p2 = math.exp(-beta * max(delta_e, 0.0))
-    return p1 * p2
+    """Product of the proposal-stage cosh ratio and the Metropolis energy factor:
+    exp(min(dH, 0)) exp(-beta max(dE, 0)) bit for bit at finite beta, as NaN fails both tests."""
+    return ((1.0 if delta_h >= 0.0 else math.exp(delta_h))
+            * (1.0 if delta_e <= 0.0 else math.exp(-beta * delta_e)))
+
 
 def accept_combined(delta_e: float, delta_h: float, beta: float) -> float:
-    """min(1, exp(-beta dE + dH)): single-stage form with the plain proposal."""
-    return math.exp(min(-beta * delta_e + delta_h, 0.0))
+    """min(1, exp(-beta dE + dH)): single-stage form with the plain proposal; a NaN
+    exponent fails x >= 0, so p is exp(min(x, 0)) bit for bit."""
+    x = -beta * delta_e + delta_h
+    return 1.0 if x >= 0.0 else math.exp(x)
 
 
 KERNELS = ("two-stage", "combined")

@@ -348,7 +348,8 @@ _OPTIONAL = ("test_loss", "test_accuracy", "mean_train_loss", "mean_train_accura
 
 def read_results(path) -> list[ResultRecord]:
     """The records of a results file, none in an empty one. A ValueError names the
-    file of a header other than RESULT_COLUMNS, and also the line of a row of another length."""
+    file of a header other than RESULT_COLUMNS, also the line of a row of another
+    length, and also the column of a cell that does not parse."""
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -357,7 +358,12 @@ def read_results(path) -> list[ResultRecord]:
             if len(row) != len(RESULT_COLUMNS):
                 raise ValueError(f"{path} line {rows.line_num} has {len(row)} cells, "
                                  f"expected {len(RESULT_COLUMNS)}")
-            records.append(ResultRecord(**{
-                col: None if col in _OPTIONAL and not text else _PARSERS.get(col, float)(text)
-                for col, text in zip(RESULT_COLUMNS, row)}))
+            cells = {}
+            for col, text in zip(RESULT_COLUMNS, row):
+                try:
+                    cells[col] = (None if col in _OPTIONAL and not text
+                                  else _PARSERS.get(col, float)(text))
+                except ValueError as err:
+                    raise ValueError(f"{path} line {rows.line_num} column {col}: {err}") from None
+            records.append(ResultRecord(**cells))
     return records

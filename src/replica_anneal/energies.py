@@ -157,7 +157,7 @@ class PerceptronState:
         self._memo = None
 
     def flip_delta(self, i: int) -> float:
-        up, down, step = self.model._moves[self.w[i]][i]
+        up, down, step = self.model._moves[self.w.item(i)][i]
         delta = float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
         self._memo = (i, delta, step)
         return delta
@@ -171,7 +171,7 @@ class PerceptronState:
         self._h = h = self._h + step
         self._g0 = (h + model._ge0) & model._tops
         self._g2 = (h + model._ge2) & model._tops
-        self.w[i] = -self.w[i]
+        self.w[i] = -self.w.item(i)
         self.energy += delta
         return delta
 
@@ -372,7 +372,7 @@ class CrossEntropyState:
         rows, codes, starts, levels = model.column_index
         span = slice(starts[j], starts[j + 1])
         rows = rows[span].astype(np.intp)
-        sign = -2.0 * float(self.w[i])
+        sign = -2.0 * self.w.item(i)
         dcol = levels.take(codes[span])
         dcol *= sign
         logit, lse = self._logits[k].take(rows), self._lse.take(rows)
@@ -406,7 +406,7 @@ class CrossEntropyState:
         if low.size:
             self._lse[low] = _logsumexp(self._logits.take(low, axis=1), axis=0)
             self._lse_top[low] = self._lse[low]
-        self.w[i] = -self.w[i]
+        self.w[i] = -self.w.item(i)
         self.energy += delta
         self._n_applied += 1
         if self._n_applied % CrossEntropyEnergy.REFRESH_EVERY == 0:
@@ -454,11 +454,11 @@ class TabulatedState:
         self.energy = float(model.table[self._idx])
 
     def flip_delta(self, i: int) -> float:
-        return float(self.model.table[self._idx ^ (1 << i)]) - self.energy
+        return self.model.table.item(self._idx ^ (1 << i)) - self.energy
 
     def apply_flip(self, i: int) -> float:
         delta = self.flip_delta(i)
         self._idx ^= 1 << i
-        self.w[i] = -self.w[i]
+        self.w[i] = -self.w.item(i)
         self.energy += delta
         return delta

@@ -31,7 +31,10 @@ class ReplicaEnsemble:
 
     fields[i] = sum_a sigma_i^a is kept up to date under flips so the
     log-cosh interaction delta is O(1); `log_cosh` is that delta's table of
-    log cosh(gamma f) at gamma = `log_cosh_gamma`.
+    log cosh(gamma f) at gamma = `log_cosh_gamma`. `fields` is a list of
+    Python ints, not an array: a step reads and writes one entry, and a numpy
+    scalar costs a box or an unbox each time. Spins are read as `w.item(i)`
+    for the same reason.
     """
 
     __slots__ = ("states", "fields", "n", "y", "log_cosh", "log_cosh_gamma")
@@ -49,14 +52,14 @@ class ReplicaEnsemble:
         self.fields = self.recompute_fields()
         self.log_cosh, self.log_cosh_gamma = [], None
 
-    def recompute_fields(self) -> np.ndarray:
-        total = np.zeros(self.n, dtype=np.int32)
+    def recompute_fields(self) -> list[int]:
+        total = np.zeros(self.n, dtype=np.int64)
         for s in self.states:
             total += s.w
-        return total
+        return total.tolist()
 
     def check_fields(self) -> bool:
-        return bool(np.array_equal(self.fields, self.recompute_fields()))
+        return self.fields == self.recompute_fields()
 
     def apply_flip(self, a: int, i: int) -> float:
         """Flip spin i of replica a; returns the replica's energy change."""
@@ -65,7 +68,7 @@ class ReplicaEnsemble:
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range for N={self.n}")
         state = self.states[a]
-        self.fields[i] -= 2 * int(state.w[i])
+        self.fields[i] -= 2 * state.w.item(i)
         return state.apply_flip(i)
 
     @classmethod

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -114,6 +115,46 @@ def test_acceptance_probabilities_in_unit_interval(de, dh, beta):
 def test_combined_dominates_two_stage(de, dh, beta):
     # min(1, e^{-b de + dh}) >= min(1, e^{dh}) min(1, e^{-b de})
     assert accept_combined(de, dh, beta) >= accept_two_stage(de, dh, beta) - 1e-15
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -3e-300, 5e-324, 1e308, -1e308, math.inf, -math.inf,
+                math.nan]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 3.0, 1000.0, 1e308])
+def test_acceptance_is_bit_identical_to_the_min_max_forms(beta):
+    # NaN, -0.0 and the infinities included: the chain accepts when u < p, so
+    # a NaN that became 1.0 would accept a move this form rejects
+    for de, dh in itertools.product(_EDGE_VALUES, repeat=2):
+        combined = math.exp(min(-beta * de + dh, 0.0))
+        two_stage = math.exp(min(dh, 0.0)) * math.exp(-beta * max(de, 0.0))
+        assert repr(accept_combined(de, dh, beta)) == repr(combined), (de, dh)
+        assert repr(accept_two_stage(de, dh, beta)) == repr(two_stage), (de, dh)
+
+
+@pytest.mark.parametrize("y", [1, 3])
+@pytest.mark.parametrize("make_model", [
+    lambda: PerceptronEnergy(generate_synthetic(count=8, dim=11, seed=3)),
+    lambda: fixtures.random_integer_energies(5, make_rng(5)),
+    lambda: CrossEntropyEnergy(ClassifierDataset(make_rng(6).random((24, 3)),
+                                                 make_rng(7).integers(0, 3, 24), 3)),
+], ids=["perceptron", "tabulated", "cross-entropy"])
+def test_the_step_path_reads_python_numbers(make_model, y):
+    """The fields are Python ints, and a step's deltas and acceptance are
+    Python floats, never numpy scalars."""
+    chain = Chain(make_model(), y, AnnealSchedule.exponential(0.2, 5.0, 300, gamma=0.7),
+                  seed=40)
+    chain.run()
+    ens = chain.ensemble
+    assert all(type(f) is int for f in ens.fields) and ens.check_fields()
+    for a, i in itertools.product(range(y), range(ens.n)):
+        delta_e = chain.states[a].flip_delta(i)
+        delta_h = interaction_delta(ens, 0.7, a, i)
+        assert type(delta_e) is float and type(delta_h) is float
+        for accept in (accept_combined, accept_two_stage):
+            assert type(accept(delta_e, delta_h, 2.0)) is float
+    ens.fields[3] += 2
+    assert not ens.check_fields()
 
 
 def test_kernels_coincide_at_gamma_zero():

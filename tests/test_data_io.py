@@ -16,6 +16,7 @@ from replica_anneal.data_io import (
     MAGIC_IMAGES,
     MAGIC_LABELS,
     REQUIRED,
+    RESULT_COLUMNS,
     SPECS,
     ResultRecord,
     TruncatedPayloadError,
@@ -332,11 +333,22 @@ def test_results_empty_list_header_only(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("run_id")
 
 
+def _with_cell(line, col, text):
+    """A CSV row of write_results with the cell of column col replaced by text."""
+    cells = line.split(",")
+    cells[RESULT_COLUMNS.index(col)] = text
+    return ",".join(cells)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: ["run_id,seed,loss", "old,1,2.0"], r"has header \['run_id', 'seed', 'loss'\]"),
     (lambda lines: [*lines[:2], lines[2] + ",extra"], "line 3 has 17 cells, expected 16"),
     (lambda lines: [lines[0], "a,abc,1", *lines[2:]], "line 2 has 3 cells, expected 16"),
-], ids=["foreign-header", "extra-cell", "short-row"])
+    (lambda lines: [lines[0], _with_cell(lines[1], "gamma", "abc"), *lines[2:]],
+     "line 2 column gamma: could not convert string to float: 'abc'"),
+    (lambda lines: [*lines[:2], _with_cell(lines[2], "seed", "-4")],
+     "line 3 column seed: seed: a seed is a non-negative integer"),
+], ids=["foreign-header", "extra-cell", "short-row", "bad-float-cell", "bad-seed-cell"])
 def test_read_results_refuses_a_malformed_file(edit, message, tmp_path):
     path = tmp_path / "bad.csv"
     write_results([_record("a"), _record("b")], path)

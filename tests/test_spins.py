@@ -84,4 +84,4 @@ def test_ensemble_validates_shapes():
 
 def test_field_values_are_replica_sums():
     ens = _ensemble([[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
-    assert ens.fields.tolist() == [1, 1, 1]
+    assert ens.fields == [1, 1, 1]
