@@ -65,57 +65,73 @@ DRAW_BLOCK = 4096
 _LOW32 = 0xFFFFFFFF
 
 
+REQUIRED = object()  # the default of a key a spec must give
+
+# data_io.SPECS' rows for a schedule spec: each key's rule (see check) and default
+SCHEDULE_SPECS = {
+    ("schedule", None): {"mode": (("exponential", "piecewise"), "exponential")},
+    ("schedule", "exponential"): {"beta_i": ("real", REQUIRED), "beta_f": ("real", REQUIRED),
+                                  "gamma": ("real >= 0", 0.0), "gamma_f": ("real >= 0", None),
+                                  "it_max": ("integer >= 0", REQUIRED)},
+    ("schedule", "piecewise"): {"stages": ("stages", REQUIRED)},
+}
+
+
 @dataclass
 class AnnealSchedule:
-    """(beta, gamma) as functions of the iteration counter.
+    """(beta, gamma) as functions of the iteration counter. The fields are a
+    schedule spec's keys: a None takes its SCHEDULE_SPECS default, and a
+    ValueError refuses a value its rule there does not take.
 
     mode 'exponential': beta = beta_i (beta_f/beta_i)^(it/it_max), and the same
-    interpolation for gamma when gamma_f differs from gamma_i (gamma stays
+    interpolation for gamma when gamma_f differs from gamma (gamma stays
     constant otherwise, including at 0).
-    mode 'piecewise': explicit stages (beta_n, gamma_n, T_n); an it_max of
-    None is their total length. check gives each value's rule.
+    mode 'piecewise': explicit stages (beta_n, gamma_n, T_n); it_max is their
+    total length, beta_i and gamma are the first stage's, beta_f the last's.
     """
 
-    it_max: int
-    mode: str = "exponential"
-    beta_i: float = 1.0
-    beta_f: float = 1.0
-    gamma_i: float = 0.0
+    mode: str | None = None
+    beta_i: float | None = None
+    beta_f: float | None = None
+    gamma: float | None = None
     gamma_f: float | None = None
+    it_max: int | None = None
     stages: list[tuple[float, float, int]] | None = None
     _stage_bounds: list[int] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if check("mode", self.mode, ("exponential", "piecewise")) == "exponential":
-            check("beta_i", self.beta_i, "real")
-            check("beta_f", self.beta_f, "real")
-            check("gamma", self.gamma_i, "real >= 0")
-            if self.gamma_f is not None:
-                check("gamma_f", self.gamma_f, "real >= 0")
+        def apply(rows):
+            for name, (rule, default) in rows.items():
+                value = getattr(self, name)
+                setattr(self, name, default if value is None and default is not REQUIRED
+                        else check(name, value, rule))
+
+        apply(SCHEDULE_SPECS["schedule", None])
+        apply(SCHEDULE_SPECS["schedule", self.mode])
+        if self.mode == "exponential":
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
-            if self.gamma_f is not None and self.gamma_f != self.gamma_i and self.gamma_i == 0:
-                raise ValueError("interpolating gamma needs gamma_i > 0")
-        else:
-            self.stages = check("stages", self.stages, "stages")
-            betas, _, lengths = zip(*self.stages)
-            if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
-                raise ValueError("stage betas must be nondecreasing")
-            if self.it_max is None:
-                self.it_max = sum(lengths)
-            elif sum(lengths) != self.it_max:
+            if self.gamma_f is not None and self.gamma_f != self.gamma and self.gamma == 0:
+                raise ValueError("interpolating gamma needs gamma > 0")
+            return
+        betas, _, lengths = zip(*self.stages)
+        if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
+            raise ValueError("stage betas must be nondecreasing")
+        if self.it_max is not None:  # no piecewise row holds it_max; take its rule
+            rule, _ = SCHEDULE_SPECS["schedule", "exponential"]["it_max"]
+            if sum(lengths) != check("it_max", self.it_max, rule):
                 raise ValueError(f"sum of stage lengths {sum(lengths)} != it_max {self.it_max}")
-            self._stage_bounds = list(itertools.accumulate(lengths))
-        check("it_max", self.it_max, "integer >= 0")
+        self.it_max = sum(lengths)
+        self._stage_bounds = list(itertools.accumulate(lengths))
+        (self.beta_i, self.gamma, _), (self.beta_f, _, _) = self.stages[0], self.stages[-1]
 
     @classmethod
-    def exponential(cls, beta_i, beta_f, it_max, gamma=0.0, gamma_f=None):
-        return cls(it_max=it_max, mode="exponential", beta_i=beta_i, beta_f=beta_f,
-                   gamma_i=gamma, gamma_f=gamma_f)
+    def exponential(cls, beta_i, beta_f, it_max, gamma=None, gamma_f=None):
+        return cls("exponential", beta_i, beta_f, gamma, gamma_f, it_max)
 
     @classmethod
     def piecewise(cls, stages):
-        return cls(it_max=None, mode="piecewise", stages=stages)
+        return cls(mode="piecewise", stages=stages)
 
     @classmethod
     def azencott_stages(cls, betas, m, kappa1, c_const, b_const, gamma=0.0):
@@ -153,10 +169,10 @@ class AnnealSchedule:
         fractions = [t / (self.it_max or 1) for t in range(it, it + k)]
         ratio = self.beta_f / self.beta_i
         betas = [self.beta_i * ratio ** x for x in fractions]
-        if self.gamma_f is None or self.gamma_f == self.gamma_i:
-            return betas, [self.gamma_i] * k
-        ratio = self.gamma_f / self.gamma_i
-        return betas, [self.gamma_i * ratio ** x for x in fractions]
+        if self.gamma_f is None or self.gamma_f == self.gamma:
+            return betas, [self.gamma] * k
+        ratio = self.gamma_f / self.gamma
+        return betas, [self.gamma * ratio ** x for x in fractions]
 
     def beta_at(self, it: int) -> float:
         return self.values(it, 1)[0][0]

@@ -12,7 +12,8 @@ from typing import NoReturn
 
 from . import exact, verify
 from .annealer import KERNELS, check
-from .data_io import ExperimentConfig, _parse_seed, build_schedule, write_results
+from .data_io import (ExperimentConfig, _parse_seed, build_schedule, check_results_path,
+                      write_results)
 from .experiments import _idx_files, robustness_eval, sweep_beta, sweep_gamma, train_run
 
 DESK_SCALE_CAP = 100_000
@@ -25,20 +26,21 @@ def _refuse(args, err: Exception) -> NoReturn:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The run's config; one that cannot be read or is refused exits 2, with
-    the reason on stderr."""
+    """The run's config. A config that cannot be read, is refused or exceeds the
+    desk-scale cap, and an --out file that write_results refuses, exit 2."""
     try:
         config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         flags = {"seed": args.seed, "kernel": args.kernel}
         config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
         _idx_files(config.dataset)  # a missing MNIST directory or IDX file raises OSError
         it_max = build_schedule(config.schedule).it_max
+        if not args.full_scale and it_max > DESK_SCALE_CAP:
+            raise ValueError(f"it_max {it_max} exceeds the desk-scale cap {DESK_SCALE_CAP}; "
+                             "pass --full-scale to unlock long runs")
+        if getattr(args, "out", None):  # robustness writes no records
+            check_results_path(args.out)
     except (ValueError, OSError) as err:
         _refuse(args, err)
-    if not args.full_scale and it_max > DESK_SCALE_CAP:
-        raise SystemExit(
-            f"it_max {it_max} exceeds the desk-scale cap "
-            f"{DESK_SCALE_CAP}; pass --full-scale to unlock long runs")
     return config
 
 
@@ -105,24 +107,14 @@ def cmd_exact_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _read_stages(path: str):
-    """The parsed JSON of a stages file; one that cannot be read raises ValueError."""
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ValueError(f"cannot read {path}: {err.strerror}") from err
-    return json.loads(text)
-
-
 def cmd_validate_schedule(args) -> int:
     try:
         stages = (verify.azencott_stages(args.horizon) if args.azencott
-                  else _read_stages(args.stages_file))
+                  else json.loads(Path(args.stages_file).read_text()))
         verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         # code 1 is a FAIL verdict; a schedule that cannot be judged is a usage error
-        print(f"validate-schedule: {err}", file=sys.stderr)
-        return 2
+        _refuse(args, err)
     print(json.dumps(verdict.as_dict(), indent=2))
     return 0 if verdict.passed else 1
 
@@ -139,6 +131,7 @@ def _argument(parse, rule: str, says: str):
 
 _positive_int = _argument(int, "integer >= 1", "a positive integer")
 _probability = _argument(float, "probability", "a probability in [0, 1]")
+_seed = _argument(_parse_seed, "seed", "a non-negative integer or a sweep row's base/point/rep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=_parse_seed, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="an integer, or a sweep row's base/point/rep")
         p.add_argument("--kernel", choices=KERNELS, default=None)
         p.add_argument("--full-scale", action="store_true",

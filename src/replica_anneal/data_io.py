@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealer import KERNELS, AnnealSchedule, check, make_rng
-from .energies import ClassifierDataset
+from .annealer import KERNELS, REQUIRED, SCHEDULE_SPECS, AnnealSchedule, check, make_rng
+from .energies import ClassifierDataset, CrossEntropyEnergy, PerceptronEnergy
 
 MAGIC_IMAGES = 2051
 MAGIC_LABELS = 2049
@@ -194,9 +194,9 @@ class ExperimentConfig:
             check(name, getattr(self, name), rule)
         dataset, _ = spec_values(self.dataset, "dataset")
         model, _ = spec_values(self.model, "model")
-        if MODEL_DATASET[model] != dataset:
-            raise ValueError(f"a {model} model needs a {MODEL_DATASET[model]} dataset, "
-                             f"not {dataset}")
+        _, reads = MODELS[model]
+        if reads != dataset:
+            raise ValueError(f"a {model} model needs a {reads} dataset, not {dataset}")
         build_schedule(self.schedule)
 
     def to_dict(self) -> dict:
@@ -225,12 +225,15 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-REQUIRED = object()  # the default of a key a spec must give
+# each model kind's energy class and dataset kind; only mnist has a test set
+MODELS = {"perceptron": (PerceptronEnergy, "synthetic"),
+          "cross-entropy": (CrossEntropyEnergy, "mnist")}
 
 # Every key a config reads, with its rule (see annealer.check) and default:
 # the config's own fields under ("config", None); for each spec section, the
 # keys every spec of it reads under (section, None), the key that names its
 # kind first, and the further keys of a kind, if any, under (section, kind).
+# AnnealSchedule applies the schedule's rows, annealer.SCHEDULE_SPECS.
 SPECS = {
     ("config", None): {"replicas": ("integer >= 1", ExperimentConfig.replicas),
                        "seed": ("seed", ExperimentConfig.seed),
@@ -240,16 +243,9 @@ SPECS = {
     ("dataset", "mnist"): {"directory": ("string", None), "per_class_train": ("integer >= 1", None),
                            "per_class_test": ("integer >= 1", None),
                            "subsample": ("integer >= 1", None)},
-    ("model", None): {"kind": (("perceptron", "cross-entropy"), "perceptron")},
-    ("schedule", None): {"mode": (("exponential", "piecewise"), "exponential")},
-    ("schedule", "exponential"): {"beta_i": ("real", REQUIRED), "beta_f": ("real", REQUIRED),
-                                  "gamma": ("real >= 0", 0.0), "gamma_f": ("real >= 0", None),
-                                  "it_max": ("integer >= 0", REQUIRED)},
-    ("schedule", "piecewise"): {"stages": ("stages", REQUIRED)},
+    ("model", None): {"kind": (tuple(MODELS), "perceptron")},
+    **SCHEDULE_SPECS,
 }
-
-# the dataset kind each model kind reads: patterns, or labelled images
-MODEL_DATASET = {"perceptron": "synthetic", "cross-entropy": "mnist"}
 
 
 def spec_values(spec: dict, section: str) -> tuple[str, dict]:
@@ -279,11 +275,7 @@ def spec_values(spec: dict, section: str) -> tuple[str, dict]:
 def build_schedule(spec: dict) -> AnnealSchedule:
     """The schedule of a config spec; a ValueError refuses a spec that
     spec_values or AnnealSchedule refuses."""
-    mode, spec = spec_values(spec, "schedule")
-    if mode == "exponential":
-        return AnnealSchedule.exponential(spec["beta_i"], spec["beta_f"], spec["it_max"],
-                                          gamma=spec["gamma"], gamma_f=spec["gamma_f"])
-    return AnnealSchedule.piecewise(spec["stages"])
+    return AnnealSchedule(**spec_values(spec, "schedule")[1])
 
 
 @dataclass
@@ -322,12 +314,21 @@ def _check_header(header: list, path) -> None:
         raise ValueError(f"{path} has header {header}, expected {RESULT_COLUMNS}")
 
 
-def write_results(records, path) -> None:
+def check_results_path(path) -> bool:
+    """Whether write_results would start the file at path, not append to it; an
+    OSError refuses a path in no directory, a ValueError another header."""
     path = Path(path)
-    new_file = not path.exists() or path.stat().st_size == 0
-    if not new_file:
-        with open(path, newline="") as fh:
-            _check_header(next(csv.reader(fh), []), path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no directory {path.parent} for {path}")
+    if not path.exists() or path.stat().st_size == 0:
+        return True
+    with open(path, newline="") as fh:
+        _check_header(next(csv.reader(fh), []), path)
+    return False
+
+
+def write_results(records, path) -> None:
+    new_file = check_results_path(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:

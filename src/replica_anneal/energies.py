@@ -143,7 +143,9 @@ class PerceptronState:
     PerceptronEnergy); the masks have bit `bits - 1` of lane mu, the lane's
     top bit, for pattern mu. Lanes stay in [0, N] with their top bits clear,
     so apply_flip adds the move's step to `_h` and sets G0 = (_h + _ge0) &
-    _tops and G2 = (_h + _ge2) & _tops: Python int arithmetic, no numpy.
+    _tops and G2 = (_h + _ge2) & _tops: Python int arithmetic, no numpy. It
+    counts the delta's two popcounts again, which costs less than keeping
+    flip_delta's result for it.
     """
 
     def __init__(self, model: PerceptronEnergy, w):
@@ -154,20 +156,15 @@ class PerceptronState:
         self._h = _pack(q // 2 + model.n_spins // 2, model._lane)
         self._g0 = (self._h + model._ge0) & model._tops
         self._g2 = (self._h + model._ge2) & model._tops
-        self._memo = None
 
     def flip_delta(self, i: int) -> float:
-        up, down, step = self.model._moves[self.w.item(i)][i]
-        delta = float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
-        self._memo = (i, delta, step)
-        return delta
+        up, down, _ = self.model._moves[self.w.item(i)][i]
+        return float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
 
     def apply_flip(self, i: int) -> float:
-        if self._memo is None or self._memo[0] != i:
-            self.flip_delta(i)
-        _, delta, step = self._memo
-        self._memo = None
         model = self.model
+        up, down, step = model._moves[self.w.item(i)][i]
+        delta = float((self._g0 & up).bit_count() - (self._g2 & down).bit_count())
         self._h = h = self._h + step
         self._g0 = (h + model._ge0) & model._tops
         self._g2 = (h + model._ge2) & model._tops

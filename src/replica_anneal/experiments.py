@@ -14,6 +14,7 @@ import numpy as np
 
 from .annealer import Chain, check, make_rng, spawn_seed
 from .data_io import (
+    MODELS,
     ExperimentConfig,
     ResultRecord,
     build_schedule,
@@ -23,12 +24,7 @@ from .data_io import (
     spec_values,
     subsample,
 )
-from .energies import (
-    ClassifierDataset,
-    CrossEntropyEnergy,
-    PerceptronEnergy,
-    generate_synthetic,
-)
+from .energies import ClassifierDataset, generate_synthetic
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -84,9 +80,8 @@ def _cached_model(specs: str, idx_files: tuple):
         for value in vars(dataset).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-    if spec_values(model_spec, "model")[0] == "perceptron":
-        return PerceptronEnergy(data), None
-    return CrossEntropyEnergy(data), test
+    energy, _ = MODELS[spec_values(model_spec, "model")[0]]
+    return energy(data), test
 
 
 @dataclass
@@ -111,18 +106,15 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
     best_w = chain.states[best].w.copy()
     accs = [model.accuracy(s.w) for s in chain.states]
     test_loss = test_acc = None
-    if test is not None and isinstance(model, CrossEntropyEnergy):
-        test_model = CrossEntropyEnergy(test)
+    if test is not None:
+        test_model = type(model)(test)
         test_loss = test_model.energy(best_w) / test.n
         test_acc = test_model.accuracy(best_w)
-    if schedule.mode == "piecewise":
-        (beta_i, gamma, _), (beta_f, _, _) = schedule.stages[0], schedule.stages[-1]
-    else:
-        beta_i, beta_f, gamma = schedule.beta_i, schedule.beta_f, schedule.gamma_i
     record = ResultRecord(
         run_id=run_id, config_hash=config.hash(),
         seed=int(seed) if np.isscalar(seed) else [int(v) for v in seed],
-        gamma=float(gamma), beta_i=float(beta_i), beta_f=float(beta_f),
+        gamma=float(schedule.gamma), beta_i=float(schedule.beta_i),
+        beta_f=float(schedule.beta_f),
         replicas=config.replicas,
         train_loss=float(losses[best]), train_accuracy=float(accs[best]),
         test_loss=test_loss, test_accuracy=test_acc,

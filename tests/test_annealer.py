@@ -188,6 +188,7 @@ def test_exponential_schedule_gamma_interpolation():
 def test_piecewise_schedule_stage_lookup():
     sched = AnnealSchedule.piecewise([(1.0, 0.0, 3), (2.0, 0.5, 2)])
     assert sched.it_max == 5
+    assert (sched.beta_i, sched.gamma, sched.beta_f) == (1.0, 0.0, 2.0)
     assert [sched.beta_at(t) for t in range(6)] == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
     assert sched.gamma_at(4) == 0.5
     assert sched.values(0, 6) == ([1.0] * 3 + [2.0] * 3, [0.0] * 3 + [0.5] * 3)
@@ -245,9 +246,12 @@ def test_schedule_rejects_invalid_values_at_construction(build):
     (lambda: AnnealSchedule.exponential(0.1, 1.0, True), "it_max must be an integer >= 0"),
     (lambda: AnnealSchedule(it_max=5, mode="piecewise", stages=[(1.0, -1.0, 5)]),
      "stage 0 gamma must be nonnegative"),
+    (lambda: AnnealSchedule(beta_f=1.0, it_max=10), "beta_i must be a finite real number, got None"),
+    (lambda: AnnealSchedule(mode="piecewise", stages=[(1.0, 0.0, 5)], it_max=5.0),
+     "it_max must be an integer >= 0, got 5.0"),
 ], ids=["stages-number", "stages-empty", "stage-pair", "length-float", "strings", "gamma-bool",
         "beta-string", "beta-bool", "gamma-f-string", "it-max-float",
-        "it-max-bool", "direct-construction"])
+        "it-max-bool", "direct-construction", "required-left-out", "piecewise-it-max-float"])
 def test_schedule_refuses_values_of_the_wrong_type(build, message):
     """A value of the wrong type is refused, not converted; the error names it.
     Integers, numpy scalars included, are real numbers."""
@@ -264,6 +268,7 @@ def test_schedule_takes_integers_and_numpy_scalars_as_numbers():
 
 def test_zero_step_schedule_is_valid(two_state):
     sched = AnnealSchedule.exponential(0.1, 10.0, 0)
+    assert (sched.mode, sched.gamma, sched.gamma_f) == ("exponential", 0.0, None)  # the defaults
     assert Chain(two_state, 2, sched, seed=1).run().iterations == 0
     # its one iteration, 0, has the initial values
     assert (sched.beta_at(0), sched.gamma_at(0)) == (0.1, 0.0)

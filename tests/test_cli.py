@@ -50,14 +50,16 @@ def test_train_rerun_identical_rows(tmp_path):
     assert strip(out1) == strip(out2)  # identical minus the timestamp column
 
 
-def test_desk_scale_cap(tmp_path):
+def test_desk_scale_cap(tmp_path, capsys):
     for schedule in ({"mode": "exponential", "beta_i": 0.1, "beta_f": 100.0, "gamma": 0.0,
                       "it_max": 300_000},
                      {"mode": "piecewise", "stages": [[1.0, 0.0, 150_000]]}):
         cfg = _write_config(tmp_path, schedule=schedule)
         with pytest.raises(SystemExit) as err:
             cli.main(["train", "--config", str(cfg)])
-        assert "--full-scale" in str(err.value)
+        assert err.value.code == 2
+        out = capsys.readouterr().err
+        assert out.startswith("replica-anneal train: it_max ") and "--full-scale" in out
 
 
 @pytest.mark.parametrize("argv", [["train", "--jobs", "2"], ["robustness", "--out", "r.csv"],
@@ -180,21 +182,24 @@ def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_
     verdict."""
     path = tmp_path / "stages.json"
     path.write_text(json.dumps(stages))
-    code = cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
+    assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("validate-schedule: ") and message in out.err
+    assert out.err.startswith("replica-anneal validate-schedule: ") and message in out.err
     assert "Traceback" not in out.err
 
 
 def test_validate_schedule_reports_a_missing_stages_file(tmp_path, capsys):
     path = tmp_path / "missing.json"
-    code = cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
+    assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"validate-schedule: cannot read {path}: No such file or directory\n"
+    assert out.err == ("replica-anneal validate-schedule: [Errno 2] No such file or directory: "
+                       f"'{path}'\n")
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])
@@ -220,6 +225,9 @@ def test_counts_are_refused_before_any_run(argv, flag, monkeypatch, capsys):
     assert f"{flag}: must be a positive integer" in capsys.readouterr().err
 
 
+_SEED_SAYS = "--seed: must be a non-negative integer or a sweep row's base/point/rep, got "
+
+
 def _refuse_runs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("ran before the arguments were checked")
@@ -233,10 +241,12 @@ def _refuse_runs(monkeypatch):
     (["robustness", "--p", "0.1", "-0.2"], "--p: must be a probability in [0, 1], got -0.2"),
     (["robustness", "--p", "nan"], "--p: must be a probability in [0, 1], got nan"),
     (["robustness", "--p", "inf"], "--p: must be a probability in [0, 1], got inf"),
-    (["train", "--seed", "-1"], "--seed: invalid"),
-    (["robustness", "--seed", "1/-2/0"], "--seed: invalid"),
-    (["sweep-gamma", "--gamma", "0.5", "--seed", "-3"], "--seed: invalid"),
-], ids=["p-above", "p-negative", "p-nan", "p-inf", "seed", "seed-entry", "seed-sweep"])
+    (["train", "--seed", "-1"], _SEED_SAYS + "-1"),
+    (["robustness", "--seed", "1/-2/0"], _SEED_SAYS + "1/-2/0"),
+    (["sweep-gamma", "--gamma", "0.5", "--seed", "-3"], _SEED_SAYS + "-3"),
+    (["train", "--seed", "x"], _SEED_SAYS + "x"),
+], ids=["p-above", "p-negative", "p-nan", "p-inf", "seed", "seed-entry", "seed-sweep",
+        "seed-text"])
 def test_values_out_of_range_are_refused_before_any_run(argv, message, monkeypatch, capsys):
     _refuse_runs(monkeypatch)
     with pytest.raises(SystemExit) as err:
@@ -392,6 +402,29 @@ def test_sweep_grid_values_are_refused_before_any_run(argv, reason, tmp_path, mo
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"replica-anneal {argv[0]}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [["train"], ["sweep-gamma", "--gamma", "0.5"],
+                                  ["sweep-beta", "--beta-i", "0.1", "--beta-f", "1.0"]],
+                         ids=["train", "sweep-gamma", "sweep-beta"])
+def test_an_out_file_that_write_results_refuses_exits_2_before_any_run(argv, tmp_path,
+                                                                       monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(cli, "train_run", never)
+    monkeypatch.setattr(experiments, "train_run", never)
+    other = _text_file(tmp_path / "other.csv", "run_id,loss\nr0,1.5\n")
+    before = other.read_bytes()
+    for out, reason in ((tmp_path / "nodir" / "x.csv", f"no directory {tmp_path / 'nodir'}"),
+                        (other, f"{other} has header ['run_id', 'loss'], expected ")):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--config", str(_write_config(tmp_path)), "--out", str(out)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"replica-anneal {argv[0]}: {reason}")
+    assert other.read_bytes() == before
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_sweep_gamma_over_a_piecewise_config_is_refused_before_any_run(tmp_path, monkeypatch,

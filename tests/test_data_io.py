@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from replica_anneal import experiments
-from replica_anneal.annealer import check
+from replica_anneal.annealer import SCHEDULE_SPECS, AnnealSchedule, check
 from replica_anneal.data_io import (
     BadMagicError,
     CountMismatchError,
@@ -270,6 +270,16 @@ def test_every_spec_key_has_a_default_its_rule_takes_and_refuses_a_wrong_type(se
         wrong = 5 if rule == "string" else "x"
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             _apply_specs(section, {**base, key: wrong})
+
+
+def test_the_schedule_rows_of_specs_are_the_table_annealschedule_applies():
+    """A schedule spec is documented, refused and built by one table, whose
+    keys are AnnealSchedule's fields."""
+    rows = {key: keys for key, keys in SPECS.items() if key[0] == "schedule"}
+    assert rows == SCHEDULE_SPECS
+    assert all(rows[key] is keys for key, keys in SCHEDULE_SPECS.items())
+    assert ([f.name for f in dataclasses.fields(AnnealSchedule) if f.init]
+            == [key for keys in SCHEDULE_SPECS.values() for key in keys])
 
 
 def test_defaults_are_applied_to_a_copy_of_the_spec():
