@@ -77,11 +77,12 @@ SCHEDULE_SPECS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnnealSchedule:
     """(beta, gamma) as functions of the iteration counter. The fields are a
     schedule spec's keys: a None takes its SCHEDULE_SPECS default, and a
-    ValueError refuses a value its rule there does not take.
+    ValueError refuses a value its rule there does not take or its mode does
+    not read. It is frozen, since every run of a config shares its schedule.
 
     mode 'exponential': beta = beta_i (beta_f/beta_i)^(it/it_max), and the same
     interpolation for gamma when gamma_f differs from gamma (gamma stays
@@ -96,18 +97,21 @@ class AnnealSchedule:
     gamma: float | None = None
     gamma_f: float | None = None
     it_max: int | None = None
-    stages: list[tuple[float, float, int]] | None = None
-    _stage_bounds: list[int] | None = field(init=False, default=None, repr=False)
+    stages: tuple[tuple[float, float, int], ...] | None = None
+    _stage_bounds: tuple[int, ...] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         def apply(rows):
             for name, (rule, default) in rows.items():
                 value = getattr(self, name)
-                setattr(self, name, default if value is None and default is not REQUIRED
-                        else check(name, value, rule))
+                vars(self)[name] = (default if value is None and default is not REQUIRED
+                                    else check(name, value, rule))
 
         apply(SCHEDULE_SPECS["schedule", None])
-        apply(SCHEDULE_SPECS["schedule", self.mode])
+        apply(rows := SCHEDULE_SPECS["schedule", self.mode])
+        unread = sorted({k for k, v in vars(self).items() if v is not None} - {"mode", *rows})
+        if unread:
+            raise ValueError(f"schedule mode {self.mode!r} does not read the keys {unread}")
         if self.mode == "exponential":
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
@@ -117,13 +121,10 @@ class AnnealSchedule:
         betas, _, lengths = zip(*self.stages)
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("stage betas must be nondecreasing")
-        if self.it_max is not None:  # no piecewise row holds it_max; take its rule
-            rule, _ = SCHEDULE_SPECS["schedule", "exponential"]["it_max"]
-            if sum(lengths) != check("it_max", self.it_max, rule):
-                raise ValueError(f"sum of stage lengths {sum(lengths)} != it_max {self.it_max}")
-        self.it_max = sum(lengths)
-        self._stage_bounds = list(itertools.accumulate(lengths))
-        (self.beta_i, self.gamma, _), (self.beta_f, _, _) = self.stages[0], self.stages[-1]
+        (beta_i, gamma, _), (beta_f, _, _) = self.stages[0], self.stages[-1]
+        vars(self).update(stages=tuple(self.stages), it_max=sum(lengths), beta_i=beta_i,
+                          gamma=gamma, beta_f=beta_f,
+                          _stage_bounds=tuple(itertools.accumulate(lengths)))
 
     @classmethod
     def exponential(cls, beta_i, beta_f, it_max, gamma=None, gamma_f=None):

@@ -7,14 +7,12 @@ import dataclasses
 import json
 import math
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from . import exact, verify
 from .annealer import KERNELS, check
-from .data_io import (ExperimentConfig, _parse_seed, build_schedule, check_results_path,
-                      write_results)
-from .experiments import _idx_files, robustness_eval, sweep_beta, sweep_gamma, train_run
+from .data_io import ExperimentConfig, _parse_seed, check_results_path, read_json, write_results
+from .experiments import build_model, robustness_eval, sweep_beta, sweep_gamma, train_run
 
 DESK_SCALE_CAP = 100_000
 
@@ -27,18 +25,19 @@ def _refuse(args, err: Exception) -> NoReturn:
 
 def _load_config(args) -> ExperimentConfig:
     """The run's config. A config that cannot be read, is refused or exceeds the
-    desk-scale cap, and an --out file that write_results refuses, exit 2."""
+    desk-scale cap, an --out file that write_results refuses and a dataset that
+    cannot be built exit 2; the run reuses the model built here."""
     try:
         config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         flags = {"seed": args.seed, "kernel": args.kernel}
         config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
-        _idx_files(config.dataset)  # a missing MNIST directory or IDX file raises OSError
-        it_max = build_schedule(config.schedule).it_max
+        it_max = config.annealing.it_max
         if not args.full_scale and it_max > DESK_SCALE_CAP:
             raise ValueError(f"it_max {it_max} exceeds the desk-scale cap {DESK_SCALE_CAP}; "
                              "pass --full-scale to unlock long runs")
         if getattr(args, "out", None):  # robustness writes no records
             check_results_path(args.out)
+        build_model(config)  # a missing or malformed IDX file raises OSError or IdxError
     except (ValueError, OSError) as err:
         _refuse(args, err)
     return config
@@ -110,7 +109,7 @@ def cmd_exact_verify(args) -> int:
 def cmd_validate_schedule(args) -> int:
     try:
         stages = (verify.azencott_stages(args.horizon) if args.azencott
-                  else json.loads(Path(args.stages_file).read_text()))
+                  else read_json(args.stages_file))
         verdict = exact.validate_schedule(stages, m=args.m, kappa1=args.kappa1)
     except (ValueError, OSError) as err:
         # code 1 is a FAIL verdict; a schedule that cannot be judged is a usage error

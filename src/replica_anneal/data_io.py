@@ -77,7 +77,19 @@ def parse_idx(data: bytes) -> IdxFile:
 
 
 def read_idx(path) -> IdxFile:
-    return parse_idx(Path(path).read_bytes())
+    """The IDX file at path; an IdxError of parse_idx names the file."""
+    try:
+        return parse_idx(Path(path).read_bytes())
+    except IdxError as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
+def read_json(path):
+    """The JSON document in a file; a ValueError names a file that does not parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_idx(path, idx: IdxFile) -> None:
@@ -128,11 +140,17 @@ def mnist_paths(directory=None) -> dict[str, Path]:
 
 
 def load_mnist(directory=None) -> tuple[ClassifierDataset, ClassifierDataset]:
-    """Load the standard MNIST train/test IDX files from a directory."""
-    paths = mnist_paths(directory)
-    train = dataset_from_idx(read_idx(paths["train_images"]), read_idx(paths["train_labels"]))
-    test = dataset_from_idx(read_idx(paths["test_images"]), read_idx(paths["test_labels"]))
-    return train, test
+    """Load the standard MNIST train/test IDX files from a directory; an
+    IdxError names the file or the pair of files it refuses."""
+    paths, sets = mnist_paths(directory), []
+    for split in ("train", "test"):
+        images, labels = paths[f"{split}_images"], paths[f"{split}_labels"]
+        pair = read_idx(images), read_idx(labels)
+        try:
+            sets.append(dataset_from_idx(*pair))
+        except IdxError as err:
+            raise type(err)(f"{images}, {labels}: {err}") from None
+    return tuple(sets)
 
 
 def make_splits(dataset: ClassifierDataset, per_class_train: int, per_class_test: int,
@@ -169,13 +187,40 @@ def subsample(dataset: ClassifierDataset, count: int, seed: int = 0) -> Classifi
 SCHEMA_VERSION = 1
 
 
+def _refuse_edit(self, *args, **kwargs):
+    raise TypeError("a config's specs are read-only; dataclasses.replace makes a new config")
+
+
+class _ReadOnlyDict(dict):  # an ExperimentConfig's spec
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse_edit
+    __reduce__ = lambda self: (type(self), (dict(self),))
+
+
+class _ReadOnlyList(list):  # a list in an ExperimentConfig's spec
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = extend = insert = _refuse_edit
+    pop = remove = clear = sort = reverse = _refuse_edit
+    __reduce__ = lambda self: (type(self), (list(self),))
+
+
+def _copy(value, as_dict=dict, as_list=list):
+    """A deep copy of a spec value whose dicts are as_dict and lists as_list."""
+    if isinstance(value, dict):
+        return as_dict({k: _copy(v, as_dict, as_list) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        items = (_copy(v, as_dict, as_list) for v in value)
+        return as_list(items) if isinstance(value, list) else tuple(items)
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One JSON-serializable document describing a run. Made in code, from a
     document or by dataclasses.replace, it refuses with a ValueError a
-    schema_version other than the integer SCHEMA_VERSION, a field or a dataset
-    or model spec that SPECS refuses, a model kind that does not read the
-    dataset's kind and a schedule that build_schedule refuses."""
+    schema_version other than the integer SCHEMA_VERSION, a field or spec that
+    SPECS refuses, a model that does not read the dataset's kind and a schedule
+    that AnnealSchedule refuses. It keeps read-only copies of the specs and of
+    a seed list, which raise a TypeError on a change, and that AnnealSchedule
+    as annealing, not a field."""
 
     dataset: dict = field(default_factory=lambda: {"kind": "synthetic", "count": 30, "dim": 100})
     model: dict = field(default_factory=lambda: {"kind": "perceptron"})
@@ -197,10 +242,15 @@ class ExperimentConfig:
         _, reads = MODELS[model]
         if reads != dataset:
             raise ValueError(f"a {model} model needs a {reads} dataset, not {dataset}")
-        build_schedule(self.schedule)
+        annealing = AnnealSchedule(**spec_values(self.schedule, "schedule")[1])
+        vars(self).update({k: _copy(getattr(self, k), _ReadOnlyDict, _ReadOnlyList)
+                           for k in ("dataset", "model", "schedule", "seed")}, annealing=annealing)
+
+    def _fields(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return _copy(self._fields())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -215,13 +265,13 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self._fields(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -270,12 +320,6 @@ def spec_values(spec: dict, section: str) -> tuple[str, dict]:
         if name != key and section != "schedule":
             check(f"{section} {name}", value, rules[name][0])
     return kind, {name: spec.get(name, value) for name, (_, value) in rules.items()}
-
-
-def build_schedule(spec: dict) -> AnnealSchedule:
-    """The schedule of a config spec; a ValueError refuses a spec that
-    spec_values or AnnealSchedule refuses."""
-    return AnnealSchedule(**spec_values(spec, "schedule")[1])
 
 
 @dataclass

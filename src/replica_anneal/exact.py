@@ -42,16 +42,13 @@ class NonReversibleError(RuntimeError):
     """The kernel is not in detailed balance with qbar: a kernel bug."""
 
 
-def _check_size(n: int, y: int, limit: int):
+def _instance(model, n: int, y: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(energy, tot_e): the model's energy on each of its 2^N configurations and
+    the total energy of each of its 2^{Ny} ensembles, after refusing N*y above limit."""
     if n * y > limit:
         raise SizeLimitError(f"N*y = {n * y} exceeds limit {limit}")
-
-
-def _instance(model, n: int, y: int, limit: int) -> np.ndarray:
-    """The total energy of each of the model's 2^{Ny} ensembles, after
-    refusing N*y above limit."""
-    _check_size(n, y, limit)
-    return total_energy_table(energy_table_of(model, n), n, y)
+    energy = energy_table_of(model, n)
+    return energy, total_energy_table(energy, n, y)
 
 
 def enumerate_configs(n: int) -> np.ndarray:
@@ -170,7 +167,7 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
     """
     if n > 10:
         raise SizeLimitError("direct route limited to N <= 10")
-    tot_e = _instance(model, n, y, MAX_NY_TABLES)
+    _, tot_e = _instance(model, n, y, MAX_NY_TABLES)
     cls, class_fields = _field_classes(n, y)
 
     # direct: log of the sum over the center sigma of exp(gamma <sigma, fields>)
@@ -195,7 +192,7 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
 def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
                         kernel: str = "combined") -> np.ndarray:
     """Row-stochastic single-flip kernel on the 2^{Ny} ensembles."""
-    tot_e = _instance(model, n, y, MAX_NY_KERNEL)
+    _, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     nbr, delta_e, delta_h = _flip_tables(tot_e, fields_table(n, y), n, y, gamma)
     moves = _flip_moves(delta_e, delta_h, beta, kernel)
     idx = np.arange(tot_e.size)
@@ -400,7 +397,7 @@ def compute_elevation_m(model, n: int, y: int) -> float:
     union with active neighbors; two states' path bottleneck is the threshold
     at which their components merge.
     """
-    return _elevation(_instance(model, n, y, MAX_NY_KERNEL), n * y)
+    return _elevation(_instance(model, n, y, MAX_NY_KERNEL)[1], n * y)
 
 
 def _elevation(weight: np.ndarray, nbits: int) -> float:
@@ -478,7 +475,7 @@ def spectral_gaps(model, n: int, y: int, gamma: float, betas,
     costs one eigvalsh of the even replica-exchange block and a Cholesky test
     of the odd one, which is diagonalised only if it may hold psi (_FlipGap).
     """
-    tot_e = _instance(model, n, y, MAX_NY_KERNEL)
+    _, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     return _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, betas, kernel)[1]
 
 
@@ -489,12 +486,10 @@ def compute_constants(model, n: int, y: int, gamma: float,
 
     m and the gaps are compute_elevation_m's and spectral_gaps', on this function's tables.
     """
-    _check_size(n, y, MAX_NY_KERNEL)
-    energy = energy_table_of(model, n)
+    energy, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     nonzero = energy[energy > 1e-12]
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
-    tot_e = total_energy_table(energy, n, y)
     m = _elevation(tot_e, n * y)
     n0, tilde = _n0_sets(tot_e, n, y)
     qbars, psis = _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, BETA_GRID, kernel)
@@ -575,7 +570,7 @@ def limit_distribution_check(model, n: int, y: int, gamma: float) -> dict:
     mu_0) and at beta = BETA_LARGE, gamma = GAMMA_LARGE (uniform on the
     aligned zero-energy set). With no zero-energy ensemble both sets are
     empty: the mass outside each is 1.0 and each distance NaN."""
-    tot_e = _instance(model, n, y, MAX_NY_TABLES)
+    _, tot_e = _instance(model, n, y, MAX_NY_TABLES)
     cls, class_fields = _field_classes(n, y)
     n0, tilde = _n0_sets(tot_e, n, y)
     qbar = _folded_qbar(tot_e, cls, class_fields, BETA_LARGE, gamma, y)
@@ -604,7 +599,7 @@ def dense_region_mass(model, n: int, y: int, gamma: float, center_index: int,
                       radius: int) -> float:
     """qbar mass at beta = BETA_LARGE of the event that every replica lies in
     the Hamming ball of the given radius around the center configuration."""
-    tot_e = _instance(model, n, y, MAX_NY_TABLES)
+    _, tot_e = _instance(model, n, y, MAX_NY_TABLES)
     qbar = _folded_qbar(tot_e, *_field_classes(n, y), BETA_LARGE, gamma, y)
     event = _over_replicas(np.logical_and, hamming_table(n, center_index) <= radius, y)
     return float(qbar[event].sum())

@@ -17,7 +17,6 @@ from .data_io import (
     MODELS,
     ExperimentConfig,
     ResultRecord,
-    build_schedule,
     load_mnist,
     make_splits,
     mnist_paths,
@@ -40,7 +39,7 @@ def build_dataset(spec: dict):
         merged = ClassifierDataset(
             inputs=np.concatenate([train.inputs, test.inputs]),
             targets=np.concatenate([train.targets, test.targets]),
-            num_classes=10)
+            num_classes=train.num_classes)
         train, test = make_splits(merged, per_train or 6000, per_test or 1000, seed=spec["seed"])
     if spec["subsample"]:
         train = subsample(train, spec["subsample"], seed=spec["seed"])
@@ -98,7 +97,7 @@ def train_run(config: ExperimentConfig, seed=None, run_id: str = "train") -> Tra
     seed given here replaces the config's, after the "seed" rule checks it."""
     seed = config.seed if seed is None else check("seed", seed, "seed")
     model, test = build_model(config)
-    schedule = build_schedule(config.schedule)
+    schedule = config.annealing
     chain = Chain(model, config.replicas, schedule, kernel=config.kernel, seed=seed)
     stats = chain.run()
     losses = [s.energy for s in chain.states]

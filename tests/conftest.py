@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from replica_anneal.annealer import make_rng
+from replica_anneal.data_io import MAGIC_IMAGES, MAGIC_LABELS, MNIST_FILES, IdxFile, write_idx
 from replica_anneal.energies import PatternSet, TabulatedEnergy, generate_synthetic
 from replica_anneal import experiments, fixtures
 
@@ -28,6 +29,17 @@ def config_of(idx: int, n: int) -> np.ndarray:
     """The spins of configuration idx: bit i of idx is 1 iff spin i is +1."""
     bits = (idx >> np.arange(n)) & 1
     return bits.astype(np.int8) * 2 - 1
+
+
+def write_mnist(directory, seed=0, n_train=60, n_test=20, side=4):
+    """The four IDX files of a small random MNIST-shaped dataset."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    for prefix, n in (("train", n_train), ("test", n_test)):
+        pixels = gen.integers(0, 256, size=n * side * side) * (gen.random(n * side * side) < 0.3)
+        write_idx(directory / MNIST_FILES[f"{prefix}_images"],
+                  IdxFile(MAGIC_IMAGES, (n, side, side), pixels.astype(np.uint8)))
+        write_idx(directory / MNIST_FILES[f"{prefix}_labels"],
+                  IdxFile(MAGIC_LABELS, (n,), gen.integers(0, 10, size=n).astype(np.uint8)))
 
 
 @pytest.fixture(autouse=True)

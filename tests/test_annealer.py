@@ -248,7 +248,7 @@ def test_schedule_rejects_invalid_values_at_construction(build):
      "stage 0 gamma must be nonnegative"),
     (lambda: AnnealSchedule(beta_f=1.0, it_max=10), "beta_i must be a finite real number, got None"),
     (lambda: AnnealSchedule(mode="piecewise", stages=[(1.0, 0.0, 5)], it_max=5.0),
-     "it_max must be an integer >= 0, got 5.0"),
+     "schedule mode 'piecewise' does not read the keys ['it_max']"),
 ], ids=["stages-number", "stages-empty", "stage-pair", "length-float", "strings", "gamma-bool",
         "beta-string", "beta-bool", "gamma-f-string", "it-max-float",
         "it-max-bool", "direct-construction", "required-left-out", "piecewise-it-max-float"])
@@ -259,11 +259,27 @@ def test_schedule_refuses_values_of_the_wrong_type(build, message):
         build()
 
 
+@pytest.mark.parametrize("fields, unread", [
+    ({"beta_i": 0.1, "beta_f": 1.0, "it_max": 10, "stages": [(1.0, 0.0, 10)]}, "['stages']"),
+    ({"mode": "piecewise", "stages": [(1.0, 0.0, 10)], "beta_i": 7.0}, "['beta_i']"),
+    ({"mode": "piecewise", "stages": [(1.0, 0.5, 10)], "gamma_f": 2.0}, "['gamma_f']"),
+    ({"mode": "piecewise", "stages": [(1.0, 0.5, 10)], "it_max": 10, "gamma": 0.5,
+      "beta_f": 1.0}, "['beta_f', 'gamma', 'it_max']"),
+], ids=["exponential-stages", "piecewise-beta-i", "piecewise-gamma-f", "piecewise-several"])
+def test_schedule_refuses_a_key_its_mode_does_not_read(fields, unread):
+    """A value that the mode would leave unused or overwrite is refused, in the
+    words spec_values refuses a config's schedule spec with."""
+    mode = fields.get("mode", "exponential")
+    with pytest.raises(ValueError, match=re.escape(f"schedule mode {mode!r} does not read "
+                                                   f"the keys {unread}")):
+        AnnealSchedule(**fields)
+
+
 def test_schedule_takes_integers_and_numpy_scalars_as_numbers():
     sched = AnnealSchedule.exponential(np.float64(0.5), 2, np.int64(4), gamma=np.float32(0.25))
     assert sched.values(0, 5)[0] == [0.5 * 4.0 ** (t / 4) for t in range(5)]
     sched = AnnealSchedule.piecewise([(1, 0, np.int64(3)), (np.float64(2.0), 1, 2)])
-    assert sched.stages == [(1.0, 0.0, 3), (2.0, 1.0, 2)] and sched.it_max == 5
+    assert sched.stages == ((1.0, 0.0, 3), (2.0, 1.0, 2)) and sched.it_max == 5
 
 
 def test_zero_step_schedule_is_valid(two_state):

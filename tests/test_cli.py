@@ -10,6 +10,8 @@ import pytest
 from replica_anneal import cli, experiments
 from replica_anneal.data_io import MNIST_FILES, REQUIRED, SPECS, ExperimentConfig, read_results
 
+from conftest import write_mnist
+
 
 def _write_config(tmp_path, **overrides):
     base = dict(
@@ -191,6 +193,16 @@ def test_validate_schedule_reports_an_unjudgeable_schedule(stages, message, tmp_
     assert "Traceback" not in out.err
 
 
+def test_validate_schedule_names_a_malformed_stages_file(tmp_path, capsys):
+    path = _text_file(tmp_path / "stages.json", "{")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate-schedule", "--stages-file", str(path), "--m", "1.0"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"replica-anneal validate-schedule: {path}: Expecting property name")
+
+
 def test_validate_schedule_reports_a_missing_stages_file(tmp_path, capsys):
     path = tmp_path / "missing.json"
     with pytest.raises(SystemExit) as err:
@@ -267,6 +279,16 @@ def _mnist_config(tmp_path, **spec):
                          model={"kind": "cross-entropy"})
 
 
+def _idx_files_with(tmp_path, key, edit):
+    """A directory of valid MNIST IDX files but the one under key, which edit rewrites."""
+    directory = tmp_path / "idx"
+    directory.mkdir()
+    write_mnist(directory)
+    path = directory / MNIST_FILES[key]
+    path.write_bytes(edit(path.read_bytes()))
+    return directory
+
+
 def _idx_files_but_one(tmp_path):
     """A directory holding every MNIST IDX file name but the test labels."""
     directory = tmp_path / "idx"
@@ -280,7 +302,8 @@ def _idx_files_but_one(tmp_path):
 # _write_config writes the document unchecked, as a config file on disk may be
 @pytest.mark.parametrize("argv, make, reason", [
     (["train"], lambda tmp: tmp / "missing.json", "No such file or directory"),
-    (["train"], lambda tmp: _text_file(tmp / "bad.json", "{"), "Expecting property name"),
+    (["train"], lambda tmp: _text_file(tmp / "bad.json", "{"),
+     "bad.json: Expecting property name"),
     (["train"], lambda tmp: _text_file(tmp / "old.json", '{"output": "r.csv"}'),
      "unknown config fields: ['output']"),
     (["train"], lambda tmp: _write_config(tmp, schedule={
@@ -360,6 +383,18 @@ def _idx_files_but_one(tmp_path):
     (["sweep-gamma", "--gamma", "0.5", "--jobs", "2"],
      lambda tmp: _mnist_config(tmp, directory=str(_idx_files_but_one(tmp))),
      "missing MNIST files in "),
+    (["train"], lambda tmp: _mnist_config(tmp, directory=str(_idx_files_with(
+        tmp, "test_images", lambda data: data[:-3]))),
+     "t10k-images-idx3-ubyte: payload has 317 bytes, expected 320 from dims (20, 4, 4)"),
+    (["sweep-gamma", "--gamma", "0.5"], lambda tmp: _mnist_config(tmp, directory=str(
+        _idx_files_with(tmp, "train_labels", lambda data: data[:2]))),
+     "train-labels-idx1-ubyte: file shorter than the 4-byte magic"),
+    (["robustness"], lambda tmp: _mnist_config(tmp, directory=str(_idx_files_with(
+        tmp, "test_labels", lambda data: data[:8] + data[9:]))),
+     "t10k-labels-idx1-ubyte: payload has 19 bytes, expected 20 from dims (20,)"),
+    (["train"], lambda tmp: _mnist_config(tmp, directory=str(_idx_files_with(
+        tmp, "train_labels", lambda data: data[:7] + b"\x3b" + data[8:-1]))),
+     "train-labels-idx1-ubyte: 60 images but 59 labels"),
 ], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
         "kernel", "schema-version", "seed", "model-kind", "dataset-count", "dataset-dim",
         "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number",
@@ -367,7 +402,8 @@ def _idx_files_but_one(tmp_path):
         "stage-length-float", "stage-strings", "dataset-seed-negative", "dataset-seed-float",
         "dataset-seed-empty", "seed-empty", "schema-version-bool", "mnist-subsample",
         "mnist-per-class-train", "mnist-per-class-test", "mnist-directory",
-        "mnist-directory-absent", "mnist-file-absent"])
+        "mnist-directory-absent", "mnist-file-absent", "mnist-images-truncated",
+        "mnist-labels-no-magic", "mnist-labels-truncated", "mnist-count-mismatch"])
 def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
                                                   capsys):
     _refuse_runs(monkeypatch)

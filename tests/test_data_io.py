@@ -25,6 +25,7 @@ from replica_anneal.data_io import (
     make_splits,
     parse_idx,
     read_idx,
+    read_json,
     read_results,
     spec_values,
     subsample,
@@ -32,7 +33,7 @@ from replica_anneal.data_io import (
     write_results,
 )
 from replica_anneal.energies import PIXEL_LEVELS, ClassifierDataset
-from replica_anneal.experiments import build_dataset, build_schedule
+from replica_anneal.experiments import build_dataset
 
 
 def _image_bytes(images: np.ndarray) -> bytes:
@@ -74,6 +75,26 @@ def test_parse_idx_truncated_names_counts():
     assert "5" in str(err.value) and "8" in str(err.value)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"\x00\x00\x08", "file shorter than the 4-byte magic"),
+    (struct.pack(">ii", MAGIC_IMAGES, 2), "file too short for the dimension fields"),
+], ids=["magic", "dims"])
+def test_parse_idx_refuses_a_file_shorter_than_its_header(raw, message):
+    with pytest.raises(TruncatedPayloadError, match=message):
+        parse_idx(raw)
+
+
+@pytest.mark.parametrize("data", [b"{", b'{"a": 1,}', b"\xff\xfe"],
+                         ids=["open", "comma", "not-text"])
+def test_read_json_names_the_file_it_refuses(data, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        read_json(path)
+    path.write_text('{"a": [1, 2]}')
+    assert read_json(path) == {"a": [1, 2]}
+
+
 def test_parse_idx_reads_dims_unsigned():
     # dims (-1, -1, 1) signed are (2^32 - 1, 2^32 - 1, 1) unsigned: their
     # signed product 1 would match the 1-byte payload
@@ -104,8 +125,10 @@ def test_dataset_from_idx_scales_and_checks():
     assert ds.targets.tolist() == [7]
     with pytest.raises(CountMismatchError):
         dataset_from_idx(images, parse_idx(_label_bytes(np.array([1, 2]))))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(BadMagicError, match="first argument is not an image file"):
         dataset_from_idx(labels, labels)
+    with pytest.raises(BadMagicError, match="second argument is not a label file"):
+        dataset_from_idx(images, images)
 
 
 def test_dataset_from_idx_reads_each_pixel_as_its_level():
@@ -249,11 +272,11 @@ _VALID = {
 
 def _apply_specs(section, spec):
     """The check that a config's spec goes through: from_dict for the
-    config's own fields, build_schedule for a schedule, spec_values else."""
+    config's own fields, the config's for a schedule, spec_values else."""
     if section == "config":
         return ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), **spec})
     if section == "schedule":
-        return build_schedule(spec)
+        return ExperimentConfig(schedule=spec)
     return spec_values(spec, section)
 
 
@@ -289,7 +312,7 @@ def test_defaults_are_applied_to_a_copy_of_the_spec():
     config = ExperimentConfig(dataset=dataset, schedule=schedule)
     digest = config.hash()
     build_dataset(dataset)
-    build_schedule(schedule)
+    ExperimentConfig(schedule=schedule)
     assert spec_values(dataset, "dataset")[1] == {"kind": "synthetic", "seed": 0, "count": 3,
                                                   "dim": 4}
     assert dataset == {"kind": "synthetic", "count": 3, "dim": 4}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ def test_pattern_set_validation():
     (np.array([[1.5, -1.0]]), np.array([1])),  # and truncates 1.5 to 1
     (np.array([[1, -1]]), np.array([255])),
     (np.array([[1, -1]]), np.array([-1.5])),
+    (np.empty((0, 3)), np.empty(0)),  # no pattern
 ])
 def test_pattern_set_checks_entries_before_the_int8_cast(patterns, labels):
     with pytest.raises(DimensionError):
@@ -437,6 +439,24 @@ def test_classifier_dataset_validation():
         ClassifierDataset(inputs=np.array([[2.0]]), targets=np.array([0]), num_classes=2)
     with pytest.raises(DimensionError):
         ClassifierDataset(inputs=np.array([[0.5]]), targets=np.array([5]), num_classes=2)
+    with pytest.raises(DimensionError, match=re.escape("inputs must be (n, d)")):
+        ClassifierDataset(inputs=np.array([0.5, 0.5]), targets=np.array([0, 1]), num_classes=2)
+    with pytest.raises(DimensionError, match="one target per input row"):
+        ClassifierDataset(inputs=np.full((2, 3), 0.5), targets=np.array([0]), num_classes=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PerceptronEnergy(generate_synthetic(count=4, dim=5, seed=0)).margins(np.ones(4)),
+     "weight length 4 != N=5"),
+    (lambda: CrossEntropyEnergy(ClassifierDataset(inputs=np.full((2, 3), 0.5),
+                                                  targets=np.array([0, 1]), num_classes=2)
+                                ).energy(np.ones(5)),
+     "weight length 5 != K*d=6"),
+    (lambda: TabulatedEnergy(np.zeros(3), n=2), "table must have 2^2 entries"),
+], ids=["perceptron-margins", "cross-entropy-weights", "table-size"])
+def test_models_refuse_a_wrong_size(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("where", [(0, 0), (1, 2)])

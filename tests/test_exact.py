@@ -63,6 +63,18 @@ def test_enumerate_qbar_size_limits():
     model = TabulatedEnergy(np.zeros(2), n=1)
     with pytest.raises(exact.SizeLimitError):
         exact.enumerate_qbar(model, 1, 17, 1.0, 0.0)
+    with pytest.raises(exact.SizeLimitError, match="N <= 10"):
+        exact.enumerate_qbar(TabulatedEnergy(np.zeros(2**11), n=11), 11, 1, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda model: exact.build_kernel_matrix(model, 3, 2, 1.0, 0.5, kernel="metropolis"),
+     "unknown kernel 'metropolis'"),
+    (lambda model: exact.replica_swap(3, 1), "replica_swap needs y >= 2"),
+], ids=["kernel", "swap-one-replica"])
+def test_exact_entry_points_refuse_what_they_do_not_define(call, message, tiny_tabulated):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tiny_tabulated)
 
 
 def test_kernel_two_state_metropolis():

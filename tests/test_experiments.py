@@ -1,30 +1,24 @@
 import dataclasses
+import operator
 import os
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from replica_anneal import experiments
-from replica_anneal.data_io import (
-    MAGIC_IMAGES,
-    MAGIC_LABELS,
-    MNIST_FILES,
-    ExperimentConfig,
-    IdxFile,
-    read_results,
-    write_idx,
-    write_results,
-)
+from replica_anneal import annealer, experiments
+from replica_anneal.data_io import MNIST_FILES, ExperimentConfig, read_results, write_results
 from replica_anneal.energies import PerceptronEnergy, generate_synthetic
 from replica_anneal.experiments import (
     build_dataset,
     build_model,
-    build_schedule,
     robustness_eval,
     sweep_gamma,
     train_run,
 )
+
+from conftest import write_mnist
 
 
 def _small_config(**overrides):
@@ -36,17 +30,6 @@ def _small_config(**overrides):
         replicas=2, seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def _write_mnist(directory, seed=0, n_train=60, n_test=20, side=4):
-    """The four IDX files of a small random MNIST-shaped dataset."""
-    gen = np.random.Generator(np.random.Philox(seed))
-    for prefix, n in (("train", n_train), ("test", n_test)):
-        pixels = gen.integers(0, 256, size=n * side * side) * (gen.random(n * side * side) < 0.3)
-        write_idx(directory / MNIST_FILES[f"{prefix}_images"],
-                  IdxFile(MAGIC_IMAGES, (n, side, side), pixels.astype(np.uint8)))
-        write_idx(directory / MNIST_FILES[f"{prefix}_labels"],
-                  IdxFile(MAGIC_LABELS, (n,), gen.integers(0, 10, size=n).astype(np.uint8)))
 
 
 def _ce_config(directory, **overrides):
@@ -80,8 +63,8 @@ def test_build_dataset_unknown_kind():
 
 
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: build_schedule({"mode": "exponential", "beta_i": 0.1, "beta_f": 10.0,
-                                         "gama": 0.8, "it_max": 100}),
+    pytest.param(lambda: ExperimentConfig(schedule={"mode": "exponential", "beta_i": 0.1,
+                                                    "beta_f": 10.0, "gama": 0.8, "it_max": 100}),
                  id="schedule-typo"),
     pytest.param(lambda: sweep_gamma(_small_config(schedule={
                      "mode": "piecewise", "stages": [(1.0, 0.0, 50)]}), [2.0], repetitions=1),
@@ -117,9 +100,9 @@ def test_build_model_refuses_specs_before_building(overrides, message, monkeypat
     ({"beta_i": 0.1}, "['beta_f', 'it_max']"),
     ({"mode": "piecewise"}, "['stages']"),
 ])
-def test_build_schedule_names_a_missing_key(spec, missing):
+def test_a_schedule_spec_names_a_missing_key(spec, missing):
     with pytest.raises(ValueError, match=re.escape(f"needs the keys {missing}")):
-        build_schedule(spec)
+        ExperimentConfig(schedule=spec)
 
 
 def test_piecewise_row_reports_its_stages():
@@ -137,9 +120,10 @@ def test_build_model_mismatch():
         build_model(_small_config(model={"kind": "cross-entropy"}))
 
 
-def test_build_schedule_piecewise():
-    sched = build_schedule({"mode": "piecewise", "stages": [(1.0, 0.0, 5), (2.0, 0.0, 5)]})
-    assert sched.it_max == 10
+def test_a_piecewise_schedule_spec_builds_its_schedule():
+    config = ExperimentConfig(schedule={"mode": "piecewise", "stages": [(1.0, 0.0, 5),
+                                                                        (2.0, 0.0, 5)]})
+    assert config.annealing.it_max == 10
 
 
 def test_train_run_deterministic():
@@ -279,7 +263,7 @@ def test_sweep_row_reruns_from_its_csv(tmp_path):
 
 
 def test_ce_sweep_loads_its_dataset_once(tmp_path, monkeypatch):
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     calls = _count_loads(monkeypatch)
     points = sweep_gamma(_ce_config(tmp_path), [0.0, 0.5], repetitions=2)
     assert calls == [str(tmp_path)]
@@ -287,14 +271,14 @@ def test_ce_sweep_loads_its_dataset_once(tmp_path, monkeypatch):
 
 
 def test_rewritten_idx_file_is_loaded_again(tmp_path, monkeypatch):
-    _write_mnist(tmp_path, seed=0)
+    write_mnist(tmp_path, seed=0)
     calls = _count_loads(monkeypatch)
     cfg = _ce_config(tmp_path)
     first = train_run(cfg).model.dataset.inputs
     assert train_run(cfg).model.dataset.inputs is first and len(calls) == 1
     path = tmp_path / MNIST_FILES["train_images"]
     before = path.stat()
-    _write_mnist(tmp_path, seed=1)  # the same sizes, in the same files
+    write_mnist(tmp_path, seed=1)  # the same sizes, in the same files
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
     second = train_run(cfg).model.dataset.inputs
     assert len(calls) == 2 and second.shape == first.shape
@@ -303,13 +287,13 @@ def test_rewritten_idx_file_is_loaded_again(tmp_path, monkeypatch):
 
 
 def test_missing_idx_file_is_not_cached(tmp_path):
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     (tmp_path / MNIST_FILES["test_labels"]).unlink()
     cfg = _ce_config(tmp_path)
     for _ in range(2):
         with pytest.raises(FileNotFoundError, match="t10k-labels-idx1-ubyte"):
             train_run(cfg)
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     assert train_run(cfg).record.test_accuracy is not None
 
 
@@ -319,7 +303,7 @@ def test_default_idx_directory_is_keyed_as_load_mnist_reads_it(tmp_path, monkeyp
     first, second = tmp_path / "a", tmp_path / "b"
     for seed, directory in enumerate((first, second)):
         directory.mkdir()
-        _write_mnist(directory, seed=seed)
+        write_mnist(directory, seed=seed)
     calls = _count_loads(monkeypatch)
     cfg = dataclasses.replace(_ce_config(tmp_path), dataset={"kind": "mnist"})
     monkeypatch.setenv("REPLICA_ANNEAL_DATA", str(first))
@@ -335,7 +319,7 @@ def test_default_idx_directory_is_keyed_as_load_mnist_reads_it(tmp_path, monkeyp
 def test_sweep_rows_do_not_depend_on_the_model_cache(kind, tmp_path, monkeypatch):
     """Rows from a sweep that builds every run's model equal those from one
     that reuses a model built before it."""
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     cfg = _small_config() if kind == "perceptron" else _ce_config(tmp_path)
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_cached_model", experiments._cached_model.__wrapped__)
@@ -348,7 +332,7 @@ def test_sweep_rows_do_not_depend_on_the_model_cache(kind, tmp_path, monkeypatch
 
 
 def test_ce_sweep_jobs_match_serial(tmp_path):
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     cfg = _ce_config(tmp_path)
     pooled = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=2)
     serial = sweep_gamma(cfg, [0.0, 0.5], repetitions=2, jobs=1)
@@ -356,7 +340,7 @@ def test_ce_sweep_jobs_match_serial(tmp_path):
 
 
 def test_a_built_model_cannot_be_changed(tmp_path):
-    _write_mnist(tmp_path)
+    write_mnist(tmp_path)
     outcome = train_run(_ce_config(tmp_path))
     dataset = outcome.model.dataset
     with pytest.raises(ValueError, match="read-only"):
@@ -371,3 +355,120 @@ def test_a_built_model_cannot_be_changed(tmp_path):
         data.patterns[0, 0] = -data.patterns[0, 0]
     with pytest.raises(ValueError, match="read-only"):
         data.labels[0] = -data.labels[0]
+
+
+def test_each_config_made_builds_one_schedule(monkeypatch):
+    """A sweep builds one AnnealSchedule per point's config, and its runs build
+    none: 2 here, where building in train_run too made 8."""
+    built, post_init = [], annealer.AnnealSchedule.__post_init__
+    monkeypatch.setattr(annealer.AnnealSchedule, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    config = _small_config()
+    assert len(built) == 1 and config.annealing is built[0]
+    built.clear()
+    points = sweep_gamma(config, [0.0, 0.5], repetitions=3)
+    assert len(built) == 2
+    assert [r.gamma for p in points for r in p.records] == [0.0] * 3 + [0.5] * 3
+    train_run(config)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.model.__setitem__("kind", "cross-entropy"),
+    lambda c: c.dataset.update(count=0),
+    lambda c: c.schedule.pop("mode"),
+    lambda c: c.schedule["stages"][0].__setitem__(2, 10**6),
+    lambda c: c.schedule["stages"].append((2.0, 0.0, 5)),
+    lambda c: operator.ior(c.schedule, {"mode": "exponential"}),
+    lambda c: operator.iadd(c.schedule["stages"], [(2.0, 0.0, 5)]),
+    lambda c: operator.delitem(c.dataset, "count"),
+    lambda c: c.seed.append(-1),
+], ids=["model-kind", "dataset-update", "schedule-pop", "stage-entry", "stage-list",
+        "schedule-ior", "stage-list-iadd", "dataset-del", "seed-list"])
+def test_a_config_refuses_an_edit_of_its_specs(edit):
+    """The checked specs cannot change: the edit raises, not a later run."""
+    config = _small_config(schedule={"mode": "piecewise", "stages": [[0.5, 0.0, 50]]},
+                           seed=[1, 2])
+    digest = config.hash()
+    with pytest.raises(TypeError, match="a config's specs are read-only"):
+        edit(config)
+    assert config.hash() == digest
+    assert train_run(config).record.iterations == 50
+
+
+def test_a_config_keeps_a_copy_of_the_callers_specs():
+    dataset = {"kind": "synthetic", "count": 10, "dim": 20, "seed": [1, 2]}
+    schedule = {"mode": "piecewise", "stages": [[0.5, 0.0, 30], [2.0, 0.0, 20]]}
+    seed = [3, 4]
+    config = _small_config(dataset=dataset, schedule=schedule, seed=seed)
+    doc, digest = config.to_dict(), config.hash()
+    dataset["count"] = 0
+    dataset["seed"].append(-1)
+    seed.append(-1)
+    schedule["stages"][1][2] = 0
+    schedule["stages"].clear()
+    assert config.to_dict() == doc and config.hash() == digest
+    # to_dict gives plain dicts and lists, which the caller may edit
+    assert type(doc["dataset"]) is dict and type(doc["schedule"]["stages"][0]) is list
+    assert type(doc["seed"]) is list
+    doc["dataset"]["count"] = 0
+    assert config.to_dict()["dataset"]["count"] == 10
+    assert train_run(config).record.iterations == 50
+
+
+@pytest.mark.parametrize("copy", [lambda c: pickle.loads(pickle.dumps(c)),
+                                  lambda c: dataclasses.replace(c)], ids=["pickle", "replace"])
+def test_a_copied_config_is_equal_and_read_only(copy):
+    """A worker's pickled config and a replaced one equal the config, hash as it
+    does, keep read-only specs and hold the same schedule, which is frozen."""
+    config = _small_config(schedule={"mode": "piecewise", "stages": [[0.5, 0.0, 30]]})
+    other = copy(config)
+    assert other == config and other.hash() == config.hash()
+    assert other.annealing == config.annealing
+    with pytest.raises(TypeError, match="read-only"):
+        other.schedule["stages"][0][2] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        other.annealing.it_max = 7
+    with pytest.raises(TypeError):  # a tuple, so no run anneals at another beta
+        other.annealing.stages[0] = (9.0, 0.0, 30)
+
+
+def _mnist_split_config(directory, seed):
+    return dataclasses.replace(_ce_config(directory), dataset={
+        "kind": "mnist", "directory": str(directory), "per_class_train": 2, "per_class_test": 1,
+        "seed": seed})
+
+
+def test_mnist_splits_are_balanced_disjoint_and_seeded(tmp_path):
+    """per_class_train and per_class_test split the merged train and test files."""
+    write_mnist(tmp_path)
+    train_files, test_files = experiments.load_mnist(tmp_path)
+    merged = np.concatenate([train_files.inputs, test_files.inputs])
+    spec = _mnist_split_config(tmp_path, 4).dataset
+    train, test = build_dataset(spec)
+    assert train.num_classes == test.num_classes == train_files.num_classes
+    assert np.bincount(train.targets, minlength=10).tolist() == [2] * 10
+    assert np.bincount(test.targets, minlength=10).tolist() == [1] * 10
+    # each row is a row of the merged set, and no row is in both splits
+    rows = {row.tobytes(): k for k, row in enumerate(merged)}
+    train_rows = {rows[row.tobytes()] for row in train.inputs}
+    test_rows = {rows[row.tobytes()] for row in test.inputs}
+    assert len(train_rows) == 20 and len(test_rows) == 10 and not train_rows & test_rows
+    again, _ = build_dataset(spec)
+    other, _ = build_dataset(_mnist_split_config(tmp_path, 5).dataset)
+    assert np.array_equal(again.inputs, train.inputs)
+    assert not np.array_equal(other.inputs, train.inputs)
+    record = train_run(_mnist_split_config(tmp_path, 4)).record
+    assert record.test_accuracy is not None
+
+
+def test_mnist_subsample_keeps_the_requested_size(tmp_path):
+    write_mnist(tmp_path)
+    spec = {"kind": "mnist", "directory": str(tmp_path), "subsample": 25, "seed": 3}
+    train, test = build_dataset(spec)
+    full, full_test = experiments.load_mnist(tmp_path)
+    assert train.n == 25 and test.n == full_test.n
+    indices = [np.flatnonzero((full.inputs == row).all(axis=1))[0] for row in train.inputs]
+    assert np.array_equal(train.targets, full.targets[indices])
+    assert np.array_equal(build_dataset(spec)[0].inputs, train.inputs)
+    assert not np.array_equal(build_dataset({**spec, "seed": 4})[0].inputs, train.inputs)
