@@ -115,8 +115,8 @@ class AnnealSchedule:
         if self.mode == "exponential":
             if not (self.beta_f >= self.beta_i > 0):
                 raise ValueError("need beta_f >= beta_i > 0")
-            if self.gamma_f is not None and self.gamma_f != self.gamma and self.gamma == 0:
-                raise ValueError("interpolating gamma needs gamma > 0")
+            if self.gamma_f not in (None, self.gamma) and 0 in (self.gamma, self.gamma_f):
+                raise ValueError("interpolating gamma needs gamma > 0 and gamma_f > 0")
             return
         betas, _, lengths = zip(*self.stages)
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):

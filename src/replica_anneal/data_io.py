@@ -100,7 +100,8 @@ def write_idx(path, idx: IdxFile) -> None:
         fh.write(np.asarray(idx.payload, dtype=np.uint8).tobytes())
 
 
-def dataset_from_idx(images: IdxFile, labels: IdxFile, num_classes: int = 10) -> ClassifierDataset:
+def dataset_from_idx(images: IdxFile, labels: IdxFile) -> ClassifierDataset:
+    """The dataset of an MNIST image file and label file: the ten digit classes."""
     if images.magic != MAGIC_IMAGES:
         raise BadMagicError("first argument is not an image file")
     if labels.magic != MAGIC_LABELS:
@@ -113,7 +114,7 @@ def dataset_from_idx(images: IdxFile, labels: IdxFile, num_classes: int = 10) ->
     # pixel k is k / 255, bit for bit energies.PIXEL_LEVELS[k]; one float64 array is made
     inputs = images.payload.reshape(n, d) / 255.0
     return ClassifierDataset(inputs=inputs, targets=labels.payload.astype(np.int64),
-                             num_classes=num_classes)
+                             num_classes=10)
 
 
 def mnist_dir() -> Path | None:
@@ -266,9 +267,6 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json(path))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def hash(self) -> str:
         canonical = json.dumps(self._fields(), sort_keys=True, separators=(",", ":"))

@@ -448,7 +448,7 @@ class TabulatedState:
         self.model = model
         self.w = as_spins(w).copy()
         self._idx = model._index(self.w)
-        self.energy = float(model.table[self._idx])
+        self.energy = model.table.item(self._idx)
 
     def flip_delta(self, i: int) -> float:
         return self.model.table.item(self._idx ^ (1 << i)) - self.energy
@@ -457,5 +457,5 @@ class TabulatedState:
         delta = self.flip_delta(i)
         self._idx ^= 1 << i
         self.w[i] = -self.w.item(i)
-        self.energy += delta
+        self.energy = self.model.table.item(self._idx)  # a sum of deltas would drift
         return delta

@@ -22,6 +22,7 @@ MAX_NY_KERNEL = 12
 
 # largest |qbar K - (qbar K)^T| accepted as detailed balance
 REVERSIBILITY_TOL = 1e-10
+ZERO_ENERGY_TOL = 1e-12  # largest energy counted as zero: the N0 sets and the energy gap B
 # entries (512 KB of doubles) in one block of scratch: enumerate_qbar's scores
 # and _detailed_balance_error's tiles
 BLOCK = 1 << 16
@@ -108,7 +109,7 @@ def _field_classes(n: int, y: int):
     fields_table(n, y). A quantity that depends on an ensemble only through
     its fields is computed once per class and gathered with cls.
     """
-    up = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    up = enumerate_configs(n) > 0
     cls = _over_replicas(np.add, up @ (y + 1) ** np.arange(n, dtype=np.int64), y)
     counts = np.arange((y + 1) ** n, dtype=np.int64)[:, None] // (y + 1) ** np.arange(n) % (y + 1)
     return cls, 2 * counts - y
@@ -182,11 +183,11 @@ def enumerate_qbar(model, n: int, y: int, beta: float, gamma: float):
         logw[lo:hi] = m + np.log(scores.sum(axis=1))
     logw_direct = logw[cls] - beta * tot_e
     m = logw_direct.max()
-    log_z = m + math.log(np.exp(logw_direct - m).sum())
+    w = np.exp(logw_direct - m)
+    total = w.sum()
 
-    qbar_direct = _normalize_log(logw_direct)
     qbar_folded = _folded_qbar(tot_e, cls, class_fields, beta, gamma, y)
-    return qbar_direct, qbar_folded, float(np.exp(log_z))
+    return w / total, qbar_folded, float(np.exp(m + math.log(total)))
 
 
 def build_kernel_matrix(model, n: int, y: int, beta: float, gamma: float,
@@ -443,19 +444,18 @@ class ConvergenceConstants:
     C: float
 
 
-def _n0_sets(tot_e: np.ndarray, n: int, y: int, tol: float = 1e-12):
+def _n0_sets(tot_e: np.ndarray, n: int, y: int):
     """Zero-energy ensembles, and those of them with all replicas equal: the
     aligned ensemble of configuration c is c * sum_a 2^{aN}, ascending in c."""
     aligned = np.arange(2**n, dtype=np.int64) * sum(1 << (a * n) for a in range(y))
-    return np.flatnonzero(tot_e <= tol), aligned[tot_e[aligned] <= tol]
+    return np.flatnonzero(tot_e <= ZERO_ENERGY_TOL), aligned[tot_e[aligned] <= ZERO_ENERGY_TOL]
 
 
-def _qbars_and_gaps(tot_e: np.ndarray, fields: np.ndarray, n: int, y: int, gamma: float,
-                    betas, kernel: str):
-    """qbar and psi at each beta, from one set of flip tables and one block layout."""
-    field_term = _field_term(fields, gamma, y)
-    qbars = [_normalize_log(-beta * tot_e + field_term) for beta in betas]
-    nbr, delta_e, delta_h = _flip_tables(tot_e, fields, n, y, gamma)
+def _qbars_and_gaps(tot_e: np.ndarray, n: int, y: int, gamma: float, betas, kernel: str):
+    """qbar and psi at each beta, from one set of field classes, flip tables and block layout."""
+    cls, class_fields = _field_classes(n, y)
+    qbars = [_folded_qbar(tot_e, cls, class_fields, beta, gamma, y) for beta in betas]
+    nbr, delta_e, delta_h = _flip_tables(tot_e, class_fields[cls], n, y, gamma)
     gap = _FlipGap(nbr, n, y)
     psis = [gap(_flip_moves(delta_e, delta_h, beta, kernel), qbar)
             for beta, qbar in zip(betas, qbars)]
@@ -476,7 +476,7 @@ def spectral_gaps(model, n: int, y: int, gamma: float, betas,
     of the odd one, which is diagonalised only if it may hold psi (_FlipGap).
     """
     _, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
-    return _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, betas, kernel)[1]
+    return _qbars_and_gaps(tot_e, n, y, gamma, betas, kernel)[1]
 
 
 def compute_constants(model, n: int, y: int, gamma: float,
@@ -487,12 +487,12 @@ def compute_constants(model, n: int, y: int, gamma: float,
     m and the gaps are compute_elevation_m's and spectral_gaps', on this function's tables.
     """
     energy, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
-    nonzero = energy[energy > 1e-12]
+    nonzero = energy[energy > ZERO_ENERGY_TOL]
     b_const = float(nonzero.min()) if nonzero.size else None
     b_prime = log_cosh_stable(gamma * y) - log_cosh_stable(gamma * (y - 2))
     m = _elevation(tot_e, n * y)
     n0, tilde = _n0_sets(tot_e, n, y)
-    qbars, psis = _qbars_and_gaps(tot_e, fields_table(n, y), n, y, gamma, BETA_GRID, kernel)
+    qbars, psis = _qbars_and_gaps(tot_e, n, y, gamma, BETA_GRID, kernel)
 
     # kappa1: smallest constant with ||qbar_b1 - qbar_b2||_inf <= kappa1 e^{-b1 B}
     kappa1 = 1.0

@@ -27,6 +27,11 @@ from .energies import ClassifierDataset, generate_synthetic
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+
+def _half_width(values: np.ndarray) -> float:
+    """Half-width of the normal-approximation 95% CI of the mean of values; 0.0 for one value."""
+    return float(Z95 * values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+
 def build_dataset(spec: dict):
     """Returns (train, test_or_None) for a config dataset spec; one per_class_*
     key alone splits 6000 train and 1000 test samples a class for the other."""
@@ -154,9 +159,8 @@ def robustness_eval(weights: np.ndarray, model, p_values, repetitions: int = 100
             flip = rng.choice(n, size=k, replace=False)
             w[flip] = -w[flip]
             accs[r] = model.accuracy(w)
-        half = Z95 * accs.std(ddof=1) / math.sqrt(repetitions) if repetitions > 1 else 0.0
         curve.append(RobustnessPoint(p=float(p), mean_accuracy=float(accs.mean()),
-                                     ci_half_width=float(half)))
+                                     ci_half_width=_half_width(accs)))
     return curve
 
 
@@ -181,12 +185,10 @@ def _aggregate(label, records) -> SweepPoint:
     t_acc = np.array([r.train_accuracy for r in records])
     t_loss = np.array([r.train_loss for r in records])
     test_accs = [r.test_accuracy for r in records if r.test_accuracy is not None]
-    reps = len(records)
-    ci = lambda arr: float(Z95 * arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return SweepPoint(
         label=label,
-        mean_train_accuracy=float(t_acc.mean()), ci_train_accuracy=ci(t_acc),
-        mean_train_loss=float(t_loss.mean()), ci_train_loss=ci(t_loss),
+        mean_train_accuracy=float(t_acc.mean()), ci_train_accuracy=_half_width(t_acc),
+        mean_train_loss=float(t_loss.mean()), ci_train_loss=_half_width(t_loss),
         mean_test_accuracy=float(np.mean(test_accs)) if test_accs else None,
         mean_active_transitions=float(np.mean([r.active_transitions for r in records])),
         records=list(records))

@@ -183,6 +183,9 @@ def test_exponential_schedule_gamma_interpolation():
     assert sched.values(40, 3) == (betas[40:43], gammas[40:43])
     with pytest.raises(ValueError):
         sched.values(99, 3)  # its last iteration is past it_max
+    # gamma = gamma_f = 0 interpolates nothing, so it is not refused
+    flat = AnnealSchedule.exponential(1.0, 2.0, 4, gamma=0.0, gamma_f=0.0)
+    assert flat.values(0, 5)[1] == [0.0] * 5
 
 
 def test_piecewise_schedule_stage_lookup():
@@ -209,6 +212,8 @@ def test_schedule_validation_errors():
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=0.0, gamma_f=1.0),
                  id="gamma-interpolated-from-zero"),
+    pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=1.0, gamma_f=0.0),
+                 id="gamma-interpolated-to-zero"),
     pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=1.0, gamma_f=-1.0),
                  id="negative-final-gamma"),
     pytest.param(lambda: AnnealSchedule.exponential(0.1, 10, 500, gamma=math.nan),

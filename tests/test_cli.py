@@ -395,6 +395,10 @@ def _idx_files_but_one(tmp_path):
     (["train"], lambda tmp: _mnist_config(tmp, directory=str(_idx_files_with(
         tmp, "train_labels", lambda data: data[:7] + b"\x3b" + data[8:-1]))),
      "train-labels-idx1-ubyte: 60 images but 59 labels"),
+    (["train"], lambda tmp: _write_config(tmp, schedule={
+        "mode": "exponential", "beta_i": 0.1, "beta_f": 10.0, "gamma": 1.0, "gamma_f": 0.0,
+        "it_max": 100}),
+     "interpolating gamma needs gamma > 0 and gamma_f > 0"),
 ], ids=["missing", "malformed", "unknown-field", "beta-order", "replicas", "replicas-jobs",
         "kernel", "schema-version", "seed", "model-kind", "dataset-count", "dataset-dim",
         "dataset-kind", "model-dataset", "model-not-object", "schedule-key", "null", "list", "number",
@@ -403,7 +407,7 @@ def _idx_files_but_one(tmp_path):
         "dataset-seed-empty", "seed-empty", "schema-version-bool", "mnist-subsample",
         "mnist-per-class-train", "mnist-per-class-test", "mnist-directory",
         "mnist-directory-absent", "mnist-file-absent", "mnist-images-truncated",
-        "mnist-labels-no-magic", "mnist-labels-truncated", "mnist-count-mismatch"])
+        "mnist-labels-no-magic", "mnist-labels-truncated", "mnist-count-mismatch", "gamma-to-zero"])
 def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, monkeypatch,
                                                   capsys):
     _refuse_runs(monkeypatch)

@@ -123,6 +123,7 @@ def test_dataset_from_idx_scales_and_checks():
     assert ds.inputs.shape == (1, 4)
     assert ds.inputs[0].tolist() == pytest.approx([0.0, 1.0, 128 / 255, 0.0])
     assert ds.targets.tolist() == [7]
+    assert ds.num_classes == 10
     with pytest.raises(CountMismatchError):
         dataset_from_idx(images, parse_idx(_label_bytes(np.array([1, 2]))))
     with pytest.raises(BadMagicError, match="first argument is not an image file"):
@@ -200,7 +201,7 @@ def test_subsample_deterministic():
 def test_config_round_trip_and_hash(tmp_path):
     cfg = ExperimentConfig(replicas=3, seed=9)
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     back = ExperimentConfig.load(path)
     assert back == cfg
     assert back.hash() == cfg.hash()

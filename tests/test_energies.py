@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from replica_anneal import energies, fixtures
+from replica_anneal.annealer import AnnealSchedule, Chain, make_rng
 from replica_anneal.energies import (
     ClassifierDataset,
     CrossEntropyEnergy,
@@ -493,6 +494,26 @@ def test_tabulated_state_tracks_flips(rng):
         d = state.flip_delta(i)
         assert d == pytest.approx(state.apply_flip(i))
     assert state.energy == pytest.approx(model.energy(state.w))
+
+
+def test_tabulated_energy_is_the_table_entry_on_a_real_table():
+    """On tables exp(U(-8, 8)), whose entries are not integers, a state's
+    energy after 20 000 chain steps is its table entry, and each flip_delta
+    is the difference of two entries: no running sum of deltas drifts."""
+    n, y = 6, 3
+    schedule = AnnealSchedule.exponential(0.1, 10.0, 20000, gamma=0.5)
+    for seed in range(20):
+        model = TabulatedEnergy(np.exp(make_rng(seed).uniform(-8, 8, size=2**n)), n=n)
+        chain = Chain(model, y, schedule, seed=seed)
+        chain.run()
+        for state in chain.states:
+            assert state.energy == model.table.item(TabulatedEnergy.index_of(state.w))
+    table, rng = model.table, make_rng(99)
+    state = model.make_state(config_of(0, n))
+    for _ in range(2000):
+        i, idx = int(rng.integers(n)), TabulatedEnergy.index_of(state.w)
+        assert state.flip_delta(i) == table[idx ^ (1 << i)] - table[idx]
+        state.apply_flip(i)
 
 
 @settings(max_examples=40, deadline=None)

@@ -268,6 +268,44 @@ def test_class_route_equals_the_per_ensemble_route(n, y, gamma):
                     == _reference_dense_mass(model, n, y, gamma, center, radius))
 
 
+def _reference_qbars_and_gaps(model, n, y, gamma, kernel):
+    """compute_constants' qbars and gaps over BETA_GRID, from the fields of
+    every ensemble (fields_table) rather than of every field class."""
+    tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
+    fields = exact.fields_table(n, y)
+    field_term = exact._field_term(fields, gamma, y)
+    qbars = [exact._normalize_log(-beta * tot_e + field_term) for beta in exact.BETA_GRID]
+    nbr, delta_e, delta_h = exact._flip_tables(tot_e, fields, n, y, gamma)
+    gap = exact._FlipGap(nbr, n, y)
+    psis = [gap(exact._flip_moves(delta_e, delta_h, beta, kernel), qbar)
+            for beta, qbar in zip(exact.BETA_GRID, qbars)]
+    return tot_e, qbars, psis
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("table", ["integer", "real"])
+@pytest.mark.parametrize("n, y", [(3, 1), (2, 2), (2, 3), (4, 2), (2, 4), (1, 6)])
+def test_gap_route_equals_the_per_ensemble_route(n, y, table, gamma):
+    """compute_constants and spectral_gaps take their qbars and flip tables
+    from the field classes; every qbar and gap is the same double as from
+    the per-ensemble fields, for both kernels and on integer and non-integer
+    energies."""
+    rng = make_rng(300 + n * 10 + y)
+    if table == "integer":
+        model = fixtures.random_integer_energies(n, rng)
+    else:
+        energy = rng.normal(size=2**n) ** 2
+        model = TabulatedEnergy(energy - energy.min(), n=n)
+    for kernel in ("combined", "two-stage"):
+        tot_e, qbars, psis = _reference_qbars_and_gaps(model, n, y, gamma, kernel)
+        got_qbars, got_psis = exact._qbars_and_gaps(tot_e, n, y, gamma, exact.BETA_GRID, kernel)
+        assert all(np.array_equal(got, want) for got, want in zip(got_qbars, qbars, strict=True))
+        assert got_psis == psis
+        assert exact.spectral_gaps(model, n, y, gamma, exact.BETA_GRID, kernel) == psis
+        consts = exact.compute_constants(model, n, y, gamma, kernel)
+        assert consts.psi_values == [(float(beta), psi) for beta, psi in zip(exact.BETA_GRID, psis)]
+
+
 def test_enumerate_qbar_scores_each_field_class_once(monkeypatch):
     """N=8, y=2: 3^8 = 6561 classes score the centers, not 2^16 ensembles."""
     rows = []
@@ -769,8 +807,9 @@ def test_state_space_tables_are_built_once_per_call(monkeypatch, cluster4):
     assert built == {"total_energy_table": 1, "fields_table": 0, "_field_classes": 1}
     built.update(total_energy_table=0, fields_table=0, _field_classes=0)
     exact.compute_constants(cluster4, 4, 2, gamma=0.5)
-    # the elevation search and every kernel build share the per-ensemble tables
-    assert built == {"total_energy_table": 1, "fields_table": 1, "_field_classes": 0}
+    # the elevation search and the gaps share one energy table; the gaps'
+    # qbars and flip tables take their fields from the classes
+    assert built == {"total_energy_table": 1, "fields_table": 0, "_field_classes": 1}
 
 
 def test_hamming_table():
