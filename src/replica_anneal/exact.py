@@ -10,6 +10,7 @@ same rule with y = 1.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +322,11 @@ class _FlipGap:
     most one of d and Pd is a flip neighbour of r, and r's partner never is.
     A fixed row's moves to pairs and partners fall in the upper triangle,
     which eigvalsh does not read, and are not written.
+
+    A call is even_low, the checks and the even block's eigvalsh, then
+    odd_psi, the odd block's test. even_low writes into the buffer it is
+    given, so two betas' even blocks can be diagonalised on two threads;
+    odd_psi writes self.odd, so odd halves run one at a time.
     """
 
     def __init__(self, nbr: np.ndarray, n: int, y: int):
@@ -357,6 +363,17 @@ class _FlipGap:
         self.even, self.odd = np.zeros((h, h)), np.zeros((nr, nr))
 
     def __call__(self, moves: np.ndarray, qbar: np.ndarray) -> float:
+        return self.odd_psi(moves, qbar, self.even_low(moves, qbar, self.even))
+
+    def _laplacian(self, moves: np.ndarray, qbar: np.ndarray) -> np.ndarray:
+        """-sqrt(q_s) K(s, t) / sqrt(q_t) for every move, flattened."""
+        sq = np.sqrt(qbar)
+        return (moves * -sq[:, None] / sq[self.nbr]).ravel()
+
+    def even_low(self, moves: np.ndarray, qbar: np.ndarray, even: np.ndarray) -> np.ndarray:
+        """The two lowest eigenvalues of the even block, after the balance and
+        swap checks; the block is written into even, an array shaped like
+        self.even, so that two betas' even blocks can be diagonalised at once."""
         asym = _flip_balance_error(moves, self.nbr, qbar)
         if not asym <= REVERSIBILITY_TOL:
             raise NonReversibleError(f"detailed balance violated by {asym:.3e}")
@@ -364,16 +381,19 @@ class _FlipGap:
             asym = _flip_swap_error(moves, self.swap, self.swapped_bit)
             if not asym <= REVERSIBILITY_TOL:
                 raise NonReversibleError(f"kernel not invariant under the swap by {asym:.3e}")
-        sq = np.sqrt(qbar)
-        # -sqrt(q_s) K(s, t) / sqrt(q_t) for every move
-        lap = (moves * -sq[:, None] / sq[self.nbr]).ravel()
-        np.put(self.even, self.even_at, lap[self.even_src] * self.even_scale)
-        np.put(self.odd, self.odd_at, lap[self.odd_src] * self.odd_sign)
-        escape = moves.sum(axis=1)
-        np.fill_diagonal(self.even, escape[self.rows])
-        low = np.linalg.eigvalsh(self.even, UPLO="L")[:2]
-        if self.pairs.size and not self._odd_above(escape[self.pairs], low[1]):
-            low = np.sort(np.append(low, np.linalg.eigvalsh(self.odd)[0]))
+        lap = self._laplacian(moves, qbar)
+        np.put(even, self.even_at, lap[self.even_src] * self.even_scale)
+        np.fill_diagonal(even, moves.sum(axis=1)[self.rows])
+        return np.linalg.eigvalsh(even, UPLO="L")[:2]
+
+    def odd_psi(self, moves: np.ndarray, qbar: np.ndarray, low: np.ndarray) -> float:
+        """psi from low, the even block's two lowest eigenvalues (even_low of
+        the same moves and qbar), and the odd block, written into self.odd."""
+        if self.pairs.size:
+            lap = self._laplacian(moves, qbar)
+            np.put(self.odd, self.odd_at, lap[self.odd_src] * self.odd_sign)
+            if not self._odd_above(moves.sum(axis=1)[self.pairs], low[1]):
+                low = np.sort(np.append(low, np.linalg.eigvalsh(self.odd)[0]))
         return float(low[1])
 
     def _odd_above(self, escape: np.ndarray, level: float) -> bool:
@@ -452,13 +472,41 @@ def _n0_sets(tot_e: np.ndarray, n: int, y: int):
 
 
 def _qbars_and_gaps(tot_e: np.ndarray, n: int, y: int, gamma: float, betas, kernel: str):
-    """qbar and psi at each beta, from one set of field classes, flip tables and block layout."""
+    """qbar and psi at each beta, from one set of field classes, flip tables and block layout.
+
+    The main thread and one worker diagonalise the even blocks of alternate
+    betas at once, each in its own buffer; then the main thread runs the odd
+    halves in beta order. So the gaps, and the error raised, are those of
+    _FlipGap called at each beta in turn: the error of the lowest failing beta.
+    """
     cls, class_fields = _field_classes(n, y)
     qbars = [_folded_qbar(tot_e, cls, class_fields, beta, gamma, y) for beta in betas]
     nbr, delta_e, delta_h = _flip_tables(tot_e, class_fields[cls], n, y, gamma)
     gap = _FlipGap(nbr, n, y)
-    psis = [gap(_flip_moves(delta_e, delta_h, beta, kernel), qbar)
-            for beta, qbar in zip(betas, qbars)]
+
+    def moves(k):
+        return _flip_moves(delta_e, delta_h, betas[k], kernel)
+
+    def even_lows(ks, even):
+        """{k: even_low at beta k} over ks in turn; an error ends the run as its value."""
+        lows = {}
+        for k in ks:
+            try:
+                lows[k] = gap.even_low(moves(k), qbars[k], even)
+            except Exception as err:  # re-raised in beta order below
+                lows[k] = err
+                break
+        return lows
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        odd_ks = pool.submit(even_lows, range(1, len(qbars), 2), np.zeros_like(gap.even))
+        lows = even_lows(range(0, len(qbars), 2), gap.even)
+        lows.update(odd_ks.result())
+    psis = []
+    for k, qbar in enumerate(qbars):
+        if isinstance(lows[k], Exception):
+            raise lows[k]
+        psis.append(gap.odd_psi(moves(k), qbar, lows[k]))
     return qbars, psis
 
 
@@ -474,6 +522,11 @@ def spectral_gaps(model, n: int, y: int, gamma: float, betas,
     can differ from the dense path's in its last bits. For y >= 2 each beta
     costs one eigvalsh of the even replica-exchange block and a Cholesky test
     of the odd one, which is diagonalised only if it may hold psi (_FlipGap).
+    Alternate betas' even blocks are diagonalised on two threads at once, and
+    the odd tests run one after another in beta order; the gaps, and the error
+    of the lowest failing beta, are those of a beta-by-beta loop. With a
+    multi-threaded BLAS the two threads compete for its thread pool, so pin
+    BLAS to one thread (OPENBLAS_NUM_THREADS=1) for exact-engine work.
     """
     _, tot_e = _instance(model, n, y, MAX_NY_KERNEL)
     return _qbars_and_gaps(tot_e, n, y, gamma, betas, kernel)[1]

@@ -199,12 +199,17 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
     """points: list of {"schedule": overrides}; seeds are derived from
     (base seed, point index, repetition) so order does not matter. Every
     point's config is made before the first run, so a ValueError refuses a
-    point that ExperimentConfig refuses before any run or pool starts."""
+    point that ExperimentConfig refuses before any run or pool starts, naming
+    the point's index and overrides."""
     check("repetitions", repetitions, "integer >= 1")
     check("jobs", jobs, "integer >= 1")
     tasks = []
     for p_idx, overrides in enumerate(points):
-        config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})
+        try:
+            config = dataclasses.replace(base, schedule={**base.schedule, **overrides["schedule"]})
+        except ValueError as err:
+            raise ValueError(f"grid point {p_idx} "
+                             f"{json.dumps(overrides['schedule'], sort_keys=True)}: {err}") from err
         for rep in range(repetitions):
             entropy = spawn_seed(base.seed, p_idx, rep).entropy
             tasks.append((config, entropy, f"sweep-{p_idx}-{rep}"))
@@ -222,6 +227,12 @@ def _run_grid(base: ExperimentConfig, points: list[dict], repetitions: int,
 
 def sweep_gamma(base: ExperimentConfig, gammas, repetitions: int = 10,
                 jobs: int = 1) -> list[SweepPoint]:
+    """One point per gamma. A base schedule that sets gamma_f is refused, as a
+    piecewise one is: each point would interpolate from its gamma to gamma_f
+    while its rows report only gamma."""
+    if base.schedule.get("gamma_f") is not None:
+        raise ValueError(f"a gamma sweep fixes each point's gamma, but the schedule sets "
+                         f"gamma_f = {base.schedule['gamma_f']}")
     points = [{"schedule": {"gamma": float(g)}} for g in gammas]
     return _run_grid(base, points, repetitions, jobs)
 

@@ -421,16 +421,20 @@ def test_a_refused_config_exits_2_before_any_run(argv, make, reason, tmp_path, m
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["sweep-gamma", "--gamma", "0.5", "-1"], "gamma must be nonnegative, got -1.0"),
-    (["sweep-gamma", "--gamma", "nan"], "gamma must be a finite real number, got nan"),
-    (["sweep-beta", "--beta-i", "0", "--beta-f", "1"], "need beta_f >= beta_i > 0"),
+    (["sweep-gamma", "--gamma", "0.5", "-1"],
+     'grid point 1 {"gamma": -1.0}: gamma must be nonnegative, got -1.0'),
+    (["sweep-gamma", "--gamma", "nan"],
+     'grid point 0 {"gamma": NaN}: gamma must be a finite real number, got nan'),
+    (["sweep-beta", "--beta-i", "0", "--beta-f", "1"],
+     'grid point 0 {"beta_f": 1.0, "beta_i": 0.0}: need beta_f >= beta_i > 0'),
     (["sweep-beta", "--beta-i", "1", "2", "--beta-f", "1", "--jobs", "2"],
-     "need beta_f >= beta_i > 0"),
+     'grid point 1 {"beta_f": 1.0, "beta_i": 2.0}: need beta_f >= beta_i > 0'),
 ], ids=["gamma-negative", "gamma-nan", "beta-zero", "beta-order-jobs"])
 def test_sweep_grid_values_are_refused_before_any_run(argv, reason, tmp_path, monkeypatch,
                                                       capsys):
     """Every grid point is checked before the first run and before a pool
-    starts, including the points after a valid one."""
+    starts, including the points after a valid one; the refusal names the
+    point's index and overrides."""
     def never(*args, **kwargs):
         raise AssertionError("ran before the grid was checked")
 
@@ -477,8 +481,31 @@ def test_sweep_gamma_over_a_piecewise_config_is_refused_before_any_run(tmp_path,
     with pytest.raises(SystemExit) as err:
         cli.main(["sweep-gamma", "--gamma", "0.5", "--config", str(cfg)])
     assert err.value.code == 2
-    assert capsys.readouterr().err == ("replica-anneal sweep-gamma: schedule mode 'piecewise' "
-                                       "does not read the keys ['gamma']\n")
+    assert capsys.readouterr().err == ('replica-anneal sweep-gamma: grid point 0 {"gamma": 0.5}: '
+                                       "schedule mode 'piecewise' does not read the keys "
+                                       "['gamma']\n")
+
+
+@pytest.mark.parametrize("gamma_f", [1.5, 0.5])
+def test_sweep_gamma_over_a_gamma_f_config_is_refused_before_any_run(gamma_f, tmp_path,
+                                                                     monkeypatch, capsys):
+    """Every point of a sweep over a gamma_f schedule would interpolate to
+    gamma_f while its rows report only gamma, even where gamma_f is the base's
+    gamma, and a grid value 0 would be refused as that point's interpolation."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran a refused sweep")
+
+    monkeypatch.setattr(experiments, "train_run", never)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", never)
+    cfg = _write_config(tmp_path, schedule={"mode": "exponential", "beta_i": 0.1, "beta_f": 5.0,
+                                            "gamma": 0.5, "gamma_f": gamma_f, "it_max": 50})
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep-gamma", "--gamma", "0", "1.0", "--jobs", "2", "--config", str(cfg)])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("replica-anneal sweep-gamma: a gamma sweep fixes each point's gamma, "
+                       f"but the schedule sets gamma_f = {gamma_f}\n")
 
 
 def test_readme_spec_table_matches_spec_keys():

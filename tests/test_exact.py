@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -268,17 +269,18 @@ def test_class_route_equals_the_per_ensemble_route(n, y, gamma):
                     == _reference_dense_mass(model, n, y, gamma, center, radius))
 
 
-def _reference_qbars_and_gaps(model, n, y, gamma, kernel):
-    """compute_constants' qbars and gaps over BETA_GRID, from the fields of
-    every ensemble (fields_table) rather than of every field class."""
+def _reference_qbars_and_gaps(model, n, y, gamma, kernel, betas=exact.BETA_GRID):
+    """compute_constants' qbars and gaps over BETA_GRID, or spectral_gaps' over
+    betas, from the fields of every ensemble (fields_table) rather than of
+    every field class, and from one _FlipGap called at each beta in turn."""
     tot_e = exact.total_energy_table(exact.energy_table_of(model, n), n, y)
     fields = exact.fields_table(n, y)
     field_term = exact._field_term(fields, gamma, y)
-    qbars = [exact._normalize_log(-beta * tot_e + field_term) for beta in exact.BETA_GRID]
+    qbars = [exact._normalize_log(-beta * tot_e + field_term) for beta in betas]
     nbr, delta_e, delta_h = exact._flip_tables(tot_e, fields, n, y, gamma)
     gap = exact._FlipGap(nbr, n, y)
     psis = [gap(exact._flip_moves(delta_e, delta_h, beta, kernel), qbar)
-            for beta, qbar in zip(exact.BETA_GRID, qbars)]
+            for beta, qbar in zip(betas, qbars)]
     return tot_e, qbars, psis
 
 
@@ -456,19 +458,26 @@ def _counted_eigvalsh(monkeypatch) -> list:
     return calls
 
 
-def test_moves_gap_held_by_the_odd_block(monkeypatch):
-    """N=3, y=2, q ∝ exp(-2 k), k the number of sites where replicas 0 and 1
-    agree, and Metropolis moves: swap-invariant and reversible, with the
-    slowest mode odd (disagreeing replicas trade places), which no kernel of
-    an energy model gives. Pair rows here have pair and partner neighbours.
-    The odd block fails its Cholesky test, so both blocks are diagonalised."""
+def _odd_mode_moves():
+    """(n, y, nbr, qbar, moves) of a swap-invariant reversible kernel on
+    N=3, y=2 whose slowest mode is odd under the replica exchange."""
     n, y = 3, 2
     idx = np.arange(2 ** (n * y))
     nbr = idx[:, None] ^ (1 << np.arange(n * y))
     agree = n - np.array([bin((s ^ (s >> n)) & (2**n - 1)).count("1") for s in idx])
     qbar = np.exp(-2.0 * agree)
     qbar /= qbar.sum()
-    moves = np.minimum(1.0, qbar[nbr] / qbar[:, None]) / (n * y)
+    return n, y, nbr, qbar, np.minimum(1.0, qbar[nbr] / qbar[:, None]) / (n * y)
+
+
+def test_moves_gap_held_by_the_odd_block(monkeypatch):
+    """N=3, y=2, q ∝ exp(-2 k), k the number of sites where replicas 0 and 1
+    agree, and Metropolis moves: swap-invariant and reversible, with the
+    slowest mode odd (disagreeing replicas trade places), which no kernel of
+    an energy model gives. Pair rows here have pair and partner neighbours.
+    The odd block fails its Cholesky test, so both blocks are diagonalised."""
+    n, y, nbr, qbar, moves = _odd_mode_moves()
+    idx = np.arange(2 ** (n * y))
     k = np.zeros((idx.size, idx.size))
     k[idx[:, None], nbr] = moves
     k[idx, idx] = 1.0 - k.sum(axis=1)
@@ -519,9 +528,9 @@ def test_gaps_follow_the_three_eigenvalue_rule(seed, monkeypatch):
     rules = []
 
     class Checked(exact._FlipGap):
-        def __call__(self, moves, qbar):
-            psi = super().__call__(moves, qbar)
-            low = np.concatenate([np.linalg.eigvalsh(self.even, UPLO="L")[:2],
+        def odd_psi(self, moves, qbar, low):
+            psi = super().odd_psi(moves, qbar, low)
+            low = np.concatenate([self.even_low(moves, qbar, np.zeros_like(self.even)),
                                   np.linalg.eigvalsh(self.odd)[:1]])
             rules.append(np.sort(low)[1])
             return psi
@@ -536,6 +545,90 @@ def test_gaps_follow_the_three_eigenvalue_rule(seed, monkeypatch):
             _, qbar, _ = exact.enumerate_qbar(model, n, 1, beta, 0.0)
             k = exact.build_kernel_matrix(model, n, 1, beta, 0.0, kernel)
             assert abs(psi - exact.stationary_and_gap(k, qbar)[2] / y) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n, y", [(4, 1), (3, 2), (2, 3)])
+def test_gaps_equal_the_beta_ordered_loop(n, y, gamma):
+    """spectral_gaps diagonalises alternate betas' even blocks on two threads;
+    its gaps are, to the bit, those of one _FlipGap called at each beta in
+    turn, for both kernels and beta lists of either parity, with and without
+    a replica exchange. No thread outlives a call."""
+    model = fixtures.random_integer_energies(n, make_rng(400 + n * y))
+    threads = threading.active_count()
+    for kernel in ("combined", "two-stage"):
+        for betas in ([], [3.0], [2.0, 9.0], exact.BETA_GRID):
+            _, _, psis = _reference_qbars_and_gaps(model, n, y, gamma, kernel, betas)
+            assert exact.spectral_gaps(model, n, y, gamma, betas, kernel) == psis
+            assert threading.active_count() == threads
+
+
+def test_two_even_blocks_are_held_at_once(monkeypatch):
+    """Each thread's first even block is diagonalised only once both threads
+    have written theirs: the two are in separate buffers, so every gap stays
+    the beta-ordered loop's."""
+    model, n, y, gamma = fixtures.random_integer_energies(3, make_rng(7)), 3, 2, 0.5
+    betas = [2.0, 9.0, 4.0]
+    _, _, psis = _reference_qbars_and_gaps(model, n, y, gamma, "combined", betas)
+    both_written, seen, eigvalsh = threading.Barrier(2, timeout=10), set(), np.linalg.eigvalsh
+
+    def after_both(a, *args, **kwargs):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            both_written.wait()
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", after_both)
+    assert exact.spectral_gaps(model, n, y, gamma, betas) == psis
+    assert len(seen) == 2
+
+
+def test_odd_block_fallback_runs_for_every_beta(monkeypatch):
+    """_odd_mode_moves scaled by each beta, whose odd blocks all fail the
+    Cholesky test: alternate betas' even blocks run on two threads, and every
+    beta falls back to diagonalising its odd block, with the one-beta call's
+    gap."""
+    n, y, nbr, qbar, moves = _odd_mode_moves()
+    scales = [0.25, 0.5, 1.0, 0.125, 0.75]
+    gap = exact._FlipGap(nbr, n, y)
+    psis = [gap(scale * moves, qbar) for scale in scales]
+    monkeypatch.setattr(exact, "_flip_moves", lambda delta_e, delta_h, beta, kernel: beta * moves)
+    monkeypatch.setattr(exact, "_folded_qbar", lambda *args: qbar)
+    calls = _counted_eigvalsh(monkeypatch)
+    assert exact._qbars_and_gaps(np.zeros(2 ** (n * y)), n, y, 0.5, scales, "combined")[1] == psis
+    assert sorted(calls) == sorted([gap.even.shape, gap.odd.shape] * len(scales))
+
+
+@pytest.mark.parametrize("broken", [(1, 2), (2, 3), (4,)])
+def test_the_lowest_failing_beta_raises(broken, monkeypatch):
+    """Moves tables unbalanced at the betas of index broken, each by its own
+    amount: the error raised is the lowest one's, as in the beta-ordered loop,
+    whichever thread ran its even block and whichever failed first, and no
+    thread outlives the call."""
+    model, n, y, gamma, betas = fixtures.double_well(2), 2, 2, 0.5, [1.0, 2.0, 3.0, 4.0, 5.0]
+    flip_moves = exact._flip_moves
+
+    def unbalanced(delta_e, delta_h, beta, kernel):
+        moves = flip_moves(delta_e, delta_h, beta, kernel)
+        if betas.index(beta) in broken:
+            moves[1, 0] += 1e-3 * beta
+        return moves
+
+    def error_of(gaps, at):
+        with pytest.raises(exact.NonReversibleError) as err:
+            gaps(at)
+        return str(err.value)
+
+    def loop(at):
+        return _reference_qbars_and_gaps(model, n, y, gamma, "combined", at)
+
+    monkeypatch.setattr(exact, "_flip_moves", unbalanced)
+    alone = [error_of(loop, [betas[k]]) for k in broken]
+    assert len(set(alone)) == len(broken)
+    assert error_of(loop, betas) == alone[0]
+    threads = threading.active_count()
+    assert error_of(lambda at: exact.spectral_gaps(model, n, y, gamma, at), betas) == alone[0]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("path", ["whole", "moves"])

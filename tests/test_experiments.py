@@ -14,6 +14,7 @@ from replica_anneal.experiments import (
     build_dataset,
     build_model,
     robustness_eval,
+    sweep_beta,
     sweep_gamma,
     train_run,
 )
@@ -75,6 +76,32 @@ def test_build_dataset_unknown_kind():
 def test_config_specs_refuse_keys_they_do_not_read(build):
     with pytest.raises(ValueError, match="does not read"):
         build()
+
+
+@pytest.mark.parametrize("gamma_f", [1.5, 0.5])
+def test_sweep_gamma_refuses_a_gamma_f_schedule(gamma_f, monkeypatch):
+    """A point of a sweep over a gamma_f schedule would run gamma -> gamma_f
+    and report gamma; gamma_f = gamma too interpolates once a point sets gamma."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran a refused sweep")
+
+    monkeypatch.setattr(experiments, "train_run", never)
+    base = _small_config(schedule={"mode": "exponential", "beta_i": 0.1, "beta_f": 5.0,
+                                   "gamma": 0.5, "gamma_f": gamma_f, "it_max": 50})
+    with pytest.raises(ValueError, match=re.escape(f"the schedule sets gamma_f = {gamma_f}")):
+        sweep_gamma(base, [0.2, 1.0], repetitions=1)
+
+
+def test_a_refused_grid_point_is_named(monkeypatch):
+    """The refusal of a point's config names its index and overrides."""
+    def never(*args, **kwargs):
+        raise AssertionError("ran a refused grid")
+
+    monkeypatch.setattr(experiments, "train_run", never)
+    with pytest.raises(ValueError, match=re.escape('grid point 2 {"gamma": -2.0}: ')):
+        sweep_gamma(_small_config(), [0.5, 1.0, -2.0], repetitions=1)
+    with pytest.raises(ValueError, match=re.escape('grid point 1 {"beta_f": 0.5, "beta_i": 2.0}: ')):
+        sweep_beta(_small_config(), [0.1, 2.0], [0.5], repetitions=1)
 
 
 @pytest.mark.parametrize("overrides, message", [
